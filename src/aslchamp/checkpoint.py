@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     bytes  0..12   magic "ASLCHAMP-CKPT"
-    u32            format version (1)
+    u32            format version (2)
     u32            header length in bytes
     header         UTF-8 JSON: config, seed, dtype, array manifest
                    (name + shape per array), optional train_state
@@ -11,8 +11,16 @@ Layout (all integers little-endian):
                    32- or 64-bit floats as declared by the header dtype
     u64 tail       first 8 bytes of SHA-256 over the payload
 
-Loading verifies magic, version, and checksum; a round-trip preserves every
-parameter bit, so predictions after load are identical.
+The arrays are the network parameters under their ``net.params`` names, in
+sorted order, then with a train_state the Adam moments as ``adam.m/<name>``
+and ``adam.v/<name>``.  Version 2 stores each LSTM layer as the four fused
+arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``, ``b_x (4H,)`` and ``b_h (4H,)``;
+version 1 files (16 per-gate arrays per layer) are refused.
+
+Loading verifies magic, version, and checksum, and that the manifest names
+exactly the arrays, with the shapes, that the header's config implies (the
+header is outside the checksum); a round-trip preserves every parameter bit,
+so predictions after load are identical.
 """
 
 from __future__ import annotations
@@ -24,11 +32,11 @@ import struct
 
 import numpy as np
 
-from .net import ChampNet, NetConfig, TrainState
+from .net import ChampNet, NetConfig, TrainState, _param_shapes
 from .nn_ops import AdamState
 
 MAGIC = b"ASLCHAMP-CKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -125,6 +133,13 @@ def load_checkpoint_full(path: str | os.PathLike):
     cfg = NetConfig.from_obj(header["config"])
     if cfg.dtype != header["dtype"]:
         raise VersionMismatch("header dtype disagrees with config dtype")
+    shapes = _param_shapes(cfg)
+    expected = [(name, list(shape)) for name, shape in shapes.items()]
+    if header.get("train_state") is not None:
+        expected += [(f"{group}/{name}", list(shape)) for group in ("adam.m", "adam.v")
+                     for name, shape in shapes.items()]
+    if sorted(expected) != sorted((e["name"], e["shape"]) for e in header["arrays"]):
+        raise VersionMismatch("array manifest disagrees with the network config")
     arrays: dict[str, np.ndarray] = {}
     pos = 0
     for entry, size in zip(header["arrays"], sizes):

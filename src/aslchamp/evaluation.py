@@ -18,8 +18,8 @@ from .net import (
     ChampNet,
     ClassMismatch,
     EmptyDataset,
-    _forward_full,
     encode_gesture_dataset,
+    infer,
 )
 
 
@@ -128,14 +128,10 @@ def evaluate(net: ChampNet, ds: GestureDataset, chunk: int = 256) -> EvalMetrics
     """Pure: repeated calls on the same net and dataset give identical metrics."""
     if len(ds.samples) == 0:
         raise EmptyDataset("nothing to evaluate")
-    data = encode_gesture_dataset(ds, net.config)  # raises ClassMismatch on bad labels
-    preds = np.empty(len(data), dtype=np.int64)
-    for start in range(0, len(data), chunk):
-        idx = range(start, min(start + chunk, len(data)))
-        x = data.batch(idx, net.config.t_max, net.config.np_dtype)
-        _, probs, _ = _forward_full(net, x, train=False, rng=None)
-        preds[start:start + len(probs)] = probs.argmax(axis=1)
-    return confusion_from_predictions(data.y, preds, net.config.classes)
+    cfg = net.config
+    data = encode_gesture_dataset(ds, cfg)  # raises ClassMismatch on bad labels
+    probs = infer(net, data.chunks(cfg.t_max, cfg.np_dtype, chunk))
+    return confusion_from_predictions(data.y, probs.argmax(axis=1), cfg.classes)
 
 
 def render_metrics(m: EvalMetrics, format: str = "text") -> str:

@@ -27,7 +27,8 @@ NUM_JOINTS = 25
 DEFAULT_FRAME_RATE_HZ = 72.0
 HAND_FEATURE_DIM = NUM_JOINTS * 6 + 3  # per-hand block: 25*(loc3+rot3) + hand_rotation
 FEATURE_DIM = 2 * HAND_FEATURE_DIM  # 306
-ROTATION_SCALE_DEG = 180.0
+ROTATION_SCALE_DEG = 180.0  # encoded rotation = degrees / this, in [-1, 1]
+LOCATION_SCALE_M = 0.15  # encoded location unit: roughly the extent of the signing space
 WRIST_JOINT = 0
 
 HANDEDNESS_VALUES = ("left", "right")
@@ -93,10 +94,6 @@ def register_control_class(name: str) -> SignClass:
     if name in _REGISTRY:
         return _REGISTRY[name]
     return _register(name, max(s.code for s in _REGISTRY.values()) + 1)
-
-
-def registered_signs() -> tuple[SignClass, ...]:
-    return tuple(sorted(_REGISTRY.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +309,12 @@ def validate_dataset(ds: GestureDataset) -> ValidationReport:
 class EncodingConfig:
     """Feature scaling so downstream tanh layers see O(1) inputs.
 
-    Rotations divide by 180 (degrees to [-1, 1]); locations are centered on
-    the first frame's wrist midpoint and expressed in units of
-    ``location_scale_m`` (0.15 m, roughly the extent of the signing space).
+    Rotations divide by ROTATION_SCALE_DEG (degrees to [-1, 1]); locations
+    are centered on the first frame's wrist midpoint and expressed in units
+    of LOCATION_SCALE_M.  ``presence_flags`` appends one 0/1 column per hand.
     """
 
     presence_flags: bool = False
-    rotation_scale_deg: float = ROTATION_SCALE_DEG
-    center_locations: bool = True
-    location_scale_m: float = 0.15
 
     @property
     def feature_dim(self) -> int:
@@ -368,25 +362,24 @@ def _wrist_center(frame: JointFrame) -> np.ndarray:
     return np.mean(wrists, axis=0)
 
 
-def _encode_hand(hand: HandFrame, center: np.ndarray, cfg: EncodingConfig) -> np.ndarray:
+def _encode_hand(hand: HandFrame, center: np.ndarray) -> np.ndarray:
     if not hand.present:
         return np.zeros(HAND_FEATURE_DIM)
-    loc = hand.locations - center if cfg.center_locations else hand.locations
-    loc = loc / cfg.location_scale_m
-    rot = hand.rotations / cfg.rotation_scale_deg
+    loc = (hand.locations - center) / LOCATION_SCALE_M
+    rot = hand.rotations / ROTATION_SCALE_DEG
     block = np.hstack([loc, rot]).reshape(-1)  # per joint: loc xyz then rot pyr
-    return np.concatenate([block, hand.hand_rotation / cfg.rotation_scale_deg])
+    return np.concatenate([block, hand.hand_rotation / ROTATION_SCALE_DEG])
 
 
 def encode_features(sample: GestureSample, cfg: EncodingConfig = EncodingConfig()) -> FeatureMatrix:
     """Encode a validated sample into its T x D feature matrix (deterministic)."""
     require_valid(sample)
-    center = _wrist_center(sample.frames[0]) if cfg.center_locations else np.zeros(3)
+    center = _wrist_center(sample.frames[0])
     rows = []
     for frame in sample.frames:
         row = np.concatenate([
-            _encode_hand(frame.left, center, cfg),
-            _encode_hand(frame.right, center, cfg),
+            _encode_hand(frame.left, center),
+            _encode_hand(frame.right, center),
         ])
         if cfg.presence_flags:
             row = np.concatenate([row, [float(frame.left.present), float(frame.right.present)]])

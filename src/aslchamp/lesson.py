@@ -377,12 +377,13 @@ _ATTEMPT_PROFILE = SignerProfile(handedness="right", speed_factor=1.0,
 
 
 def _error_template(sign: str, templates: dict[str, SignTemplate]) -> SignTemplate:
+    """The wrong production a simulated learner makes for ``sign``: its
+    ``<sign>_REVERSED`` twin when there is one, else the alphabetically first
+    other non-reversed template (so MILK and TEA both come out as COFFEE)."""
     reversed_name = f"{sign}_REVERSED"
     if reversed_name in templates:
         return templates[reversed_name]
-    names = sorted(n for n in templates if n != sign and not n.endswith("_REVERSED"))
-    pick = names[(names.index(sign) + 1) % len(names)] if sign in names else names[0]
-    return templates[pick]
+    return templates[min(n for n in templates if n != sign and not n.endswith("_REVERSED"))]
 
 
 def simulate_learner(plan: LessonPlan, classify: Classifier,

@@ -5,6 +5,12 @@ Published widths (conv 512/256, LSTM 512/256, dense 512/256/128) are the
 defaults; ``scale_factor`` shrinks every width uniformly so the same shape
 trains in desk time.  The output layer starts at zero, so an untrained
 network predicts the exactly uniform distribution and loss ln(K).
+
+Parameters live in ``ChampNet.params`` under "<layer>/<name>" keys, each in
+the layout its kernel uses: an LSTM layer is ``W_x (D, 4H)``, ``W_h (H, 4H)``,
+``b_x (4H,)`` and ``b_h (4H,)`` with gate column blocks i, f, g, o.  All
+inference (``forward``, ``predict``, the validation pass, and
+``evaluation.evaluate``) runs through ``infer``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,7 +28,6 @@ from .gesture import (
     CANONICAL_NAMES,
     EncodingConfig,
     FEATURE_DIM,
-    FeatureMatrix,
     GestureDataset,
     GestureSample,
     SignClass,
@@ -198,10 +203,11 @@ class ChampNet:
     params: dict[str, np.ndarray]
     seed: int
 
-    def lstm_params(self, layer: str) -> LSTMCellParams:
-        kw = {name: self.params[f"{layer}/{name}"]
-              for name in LSTMCellParams.__dataclass_fields__}
-        return LSTMCellParams(**kw)
+
+def _lstm_layers(cfg: NetConfig) -> tuple[tuple[str, int, int], ...]:
+    """(name, input size, hidden size) of each LSTM layer, bottom first."""
+    return (("lstm1", cfg.conv2_width, cfg.lstm1_width),
+            ("lstm2", cfg.lstm1_width, cfg.lstm2_width))
 
 
 def _param_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
@@ -210,13 +216,11 @@ def _param_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
     shapes["conv1/b"] = (cfg.conv1_width,)
     shapes["conv2/K"] = (cfg.conv2_width, cfg.kernel_size, cfg.conv1_width)
     shapes["conv2/b"] = (cfg.conv2_width,)
-    for layer, d_in, h in (("lstm1", cfg.conv2_width, cfg.lstm1_width),
-                           ("lstm2", cfg.lstm1_width, cfg.lstm2_width)):
-        for g in LSTMCellParams.GATE_ORDER:
-            shapes[f"{layer}/W_i{g}"] = (h, d_in)
-            shapes[f"{layer}/W_h{g}"] = (h, h)
-            shapes[f"{layer}/b_i{g}"] = (h,)
-            shapes[f"{layer}/b_h{g}"] = (h,)
+    for layer, d_in, h in _lstm_layers(cfg):
+        shapes[f"{layer}/W_x"] = (d_in, 4 * h)
+        shapes[f"{layer}/W_h"] = (h, 4 * h)
+        shapes[f"{layer}/b_x"] = (4 * h,)
+        shapes[f"{layer}/b_h"] = (4 * h,)
     d_prev = cfg.flat_dim
     for i, width in enumerate(cfg.dense_widths, start=1):
         shapes[f"dense{i}/W"] = (d_prev, width)
@@ -237,9 +241,11 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
 
     Conv and dense weights are plain uniform Glorot, +-sqrt(6/(fan_in +
     fan_out)); LSTM input weights are uniform +-sqrt(6/(fan_in+hidden)),
-    recurrent weights +-sqrt(1/hidden); the input-side forget bias starts
-    at +1 and the output layer at zero (so an untrained network is exactly
-    uniform).
+    recurrent weights +-sqrt(1/hidden); the input-side forget bias (the
+    forget block of ``b_x``) starts at +1 and the output layer at zero (so an
+    untrained network is exactly uniform).  Each LSTM gate's block is drawn
+    as an (H, D) and an (H, H) matrix, gate by gate in the order i, f, g, o,
+    and stored transposed into its column block of W_x and W_h.
 
     Plain Glorot keeps the tanh stack out of saturation: on 128 desk
     samples at scale 1/16 no conv or dense unit starts at |y| > 0.99.
@@ -250,31 +256,26 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dtype = cfg.np_dtype
-    params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(cfg).items():
-        if name.startswith("out/"):
-            params[name] = np.zeros(shape, dtype=dtype)
-        elif name.endswith("/b") or "/b_" in name:
-            if name.endswith("b_if"):
-                params[name] = np.ones(shape, dtype=dtype)
-            else:
-                params[name] = np.zeros(shape, dtype=dtype)
-        elif "/W_i" in name:  # LSTM input-to-gate
-            h, d = shape
-            bound = np.sqrt(6.0 / (d + h))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-        elif "/W_h" in name:  # LSTM recurrent
-            h = shape[0]
-            bound = np.sqrt(1.0 / h)
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-        elif name.startswith("conv"):
-            f, k, d = shape
-            bound = np.sqrt(6.0 / (k * d + f))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-        else:  # dense weights
-            fan_in, fan_out = shape
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    shapes = _param_shapes(cfg)
+    params = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+
+    def glorot(shape, fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+    for name in ("conv1/K", "conv2/K"):
+        f, k, d = shapes[name]
+        params[name] = glorot(shapes[name], k * d, f)
+    for layer, d, h in _lstm_layers(cfg):
+        wx, wh = params[f"{layer}/W_x"], params[f"{layer}/W_h"]
+        bound = np.sqrt(1.0 / h)
+        for idx in range(len(LSTMCellParams.GATE_ORDER)):
+            block = slice(idx * h, (idx + 1) * h)
+            wx[:, block] = glorot((h, d), d, h).T
+            wh[:, block] = rng.uniform(-bound, bound, size=(h, h)).astype(dtype).T
+        params[f"{layer}/b_x"][h:2 * h] = 1.0  # forget gate
+    for i in range(1, len(cfg.dense_widths) + 1):
+        params[f"dense{i}/W"] = glorot(shapes[f"dense{i}/W"], *shapes[f"dense{i}/W"])
     return ChampNet(config=cfg, params=params, seed=seed)
 
 
@@ -291,18 +292,14 @@ def param_checksum(params: dict[str, np.ndarray]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _lstm(p: dict[str, np.ndarray], layer: str) -> LSTMCellParams:
+    """The stored arrays of one LSTM layer, as the cell parameters they are."""
+    return LSTMCellParams(W_x=p[f"{layer}/W_x"], W_h=p[f"{layer}/W_h"],
+                          b_x=p[f"{layer}/b_x"], b_h=p[f"{layer}/b_h"])
+
+
 def _coerce_batch(net: ChampNet, batch) -> np.ndarray:
     cfg = net.config
-    if isinstance(batch, FeatureMatrix):
-        batch = [batch]
-    if isinstance(batch, (list, tuple)):
-        arrs = []
-        for m in batch:
-            if m.values.shape != (cfg.t_max, cfg.feature_dim):
-                raise ShapeMismatch(f"feature matrix {m.values.shape} != "
-                                    f"({cfg.t_max}, {cfg.feature_dim}); pad first")
-            arrs.append(m.values)
-        batch = np.stack(arrs)
     x = np.asarray(batch)
     if x.ndim == 2:
         x = x[None]
@@ -324,8 +321,8 @@ def _forward_full(net: ChampNet, x: np.ndarray, train: bool,
     a2 = conv1d_forward(pool1, p["conv2/K"], p["conv2/b"])
     t2 = np.tanh(a2)
     pool2, arg2 = maxpool1d_forward(t2, cfg.pool, cfg.pool)
-    h1, lstm1_cache = lstm_sequence(pool2, net.lstm_params("lstm1"))
-    h2, lstm2_cache = lstm_sequence(h1, net.lstm_params("lstm2"))
+    h1, lstm1_cache = lstm_sequence(pool2, _lstm(p, "lstm1"))
+    h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"))
     flat = h2.reshape(h2.shape[0], -1)
 
     cache.update(x=x, t1=t1, arg1=arg1, pool1=pool1, t2=t2, arg2=arg2,
@@ -357,12 +354,9 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
         g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense_backward(cache[f"dense{i}"], g)
 
     g = g.reshape(cache["h2_shape"])
-    g, lstm2_grads, _, _ = lstm_sequence_backward(cache["lstm2"], net.lstm_params("lstm2"), g)
-    for name, val in lstm2_grads.items():
-        grads[f"lstm2/{name}"] = val
-    g, lstm1_grads, _, _ = lstm_sequence_backward(cache["lstm1"], net.lstm_params("lstm1"), g)
-    for name, val in lstm1_grads.items():
-        grads[f"lstm1/{name}"] = val
+    for layer in ("lstm2", "lstm1"):
+        g, lstm_grads, _, _ = lstm_sequence_backward(cache[layer], _lstm(p, layer), g)
+        grads.update((f"{layer}/{name}", val) for name, val in lstm_grads.items())
 
     g = maxpool1d_backward(g, cache["arg2"], cache["t2"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t2"], g)
@@ -375,15 +369,30 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     return grads
 
 
+def infer(net: ChampNet, chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Inference-mode class probabilities (float64), one row per sample, for
+    padded (B, t_max, D) batches taken one chunk at a time.  The one
+    inference path: ``forward``, ``predict``, validation and ``evaluate``
+    all end here.  Does not check for non-finite values (``forward`` does).
+    """
+    return np.concatenate([_forward_full(net, x, train=False, rng=None)[1] for x in chunks])
+
+
 def forward(net: ChampNet, batch, mode: str = "infer",
             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class probabilities, one row per sample; rows sum to 1 within 1e-9."""
+    """Class probabilities, one row per sample; rows sum to 1 within 1e-9.
+
+    ``batch`` is a (B, t_max, D) or (t_max, D) array of padded features.
+    """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and rng is None and net.config.dropout_rate > 0:
         raise ValueError("training-mode forward needs an rng for dropout")
     x = _coerce_batch(net, batch)
-    _, probs, _ = _forward_full(net, x, mode == "train", rng)
+    if mode == "train":
+        _, probs, _ = _forward_full(net, x, True, rng)
+    else:
+        probs = infer(net, [x])
     if not np.isfinite(probs).all():
         raise NonFiniteValue("forward produced non-finite probabilities")
     return probs
@@ -405,6 +414,12 @@ class EncodedDataset:
 
     def __len__(self):
         return len(self.features)
+
+    def chunks(self, t_max: int, dtype, size: int = 256) -> Iterator[np.ndarray]:
+        """Every sample in order, padded, ``size`` samples per batch."""
+        n = len(self)
+        for start in range(0, n, size):
+            yield self.batch(range(start, min(start + size, n)), t_max, dtype)
 
     def batch(self, indices, t_max: int, dtype) -> np.ndarray:
         d = self.features[0].shape[1]
@@ -445,7 +460,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     shuffle_seed: int = 0
     early_stop_patience: int | None = None
-    validation_fraction: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -490,21 +504,14 @@ class TrainState:
     adam: AdamState
 
 
-def _eval_encoded(net_params, cfg: NetConfig, data: EncodedDataset, chunk: int = 256):
+def _eval_encoded(net: ChampNet, data: EncodedDataset, chunk: int = 256):
     """Mean loss and accuracy in inference mode."""
-    net = ChampNet(config=cfg, params=net_params, seed=0)
-    total_loss = 0.0
-    correct = 0
+    cfg = net.config
     n = len(data)
-    for start in range(0, n, chunk):
-        idx = range(start, min(start + chunk, n))
-        x = data.batch(idx, cfg.t_max, cfg.np_dtype)
-        logits, probs, _ = _forward_full(net, x, train=False, rng=None)
-        targets = data.y[start:start + chunk]
-        picked = np.clip(probs[np.arange(len(targets)), targets], 1e-12, 1.0)
-        total_loss += float(-np.log(picked).sum())
-        correct += int((probs.argmax(axis=1) == targets).sum())
-    return total_loss / n, correct / n
+    probs = infer(net, data.chunks(cfg.t_max, cfg.np_dtype, chunk))
+    nll = -np.log(np.clip(probs[np.arange(n), data.y], 1e-12, 1.0))
+    total_loss = sum(float(nll[start:start + chunk].sum()) for start in range(0, n, chunk))
+    return total_loss / n, int((probs.argmax(axis=1) == data.y).sum()) / n
 
 
 def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | None,
@@ -568,7 +575,8 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
 
         stop = False
         if val_set is not None and len(val_set) > 0:
-            v_loss, v_acc = _eval_encoded(params, cfg, val_set)
+            v_loss, v_acc = _eval_encoded(ChampNet(config=cfg, params=params, seed=net.seed),
+                                          val_set)
             report.val_loss.append(v_loss)
             report.val_accuracy.append(v_acc)
             if tc.early_stop_patience is not None:
@@ -609,8 +617,7 @@ def predict(net: ChampNet, sample: GestureSample) -> Prediction:
     ordered)."""
     cfg = net.config
     m = encode_features(sample, cfg.encoding())
-    m = pad_or_truncate(m, cfg.t_max)
-    probs = forward(net, [m], mode="infer")[0]
+    probs = forward(net, pad_or_truncate(m, cfg.t_max).values)[0]
     idx = int(np.argmax(probs))
     return Prediction(label=sign_class(cfg.classes[idx]),
                       confidence=float(probs[idx]),

@@ -5,6 +5,9 @@ be checked against brute-force oracles and central finite differences.  Arrays
 are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Time-major layouts: a single sequence is (T, D) and a
 batch is (B, T, D).  Ops accept either and preserve which one they were given.
+LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
+layer, so each step is one gate GEMM per operand; ``lstm_cell`` and
+``lstm_sequence`` share the single step implementation ``_lstm_step``.
 """
 
 from __future__ import annotations
@@ -234,122 +237,87 @@ def dense_backward(cache, grad_out: np.ndarray):
 
 @dataclass
 class LSTMCellParams:
-    """Gate parameters, one matrix and two bias vectors per gate.
+    """Gate parameters in the fused layout every step multiplies by.
 
-    W_i* are (hidden, input); W_h* are (hidden, hidden); biases are (hidden,).
+    W_x is (input, 4*hidden), W_h is (hidden, 4*hidden), and b_x, b_h are
+    (4*hidden,).  Column block k*hidden:(k+1)*hidden belongs to gate
+    GATE_ORDER[k]; the two bias vectors enter each gate as a sum.
     """
 
-    W_ii: np.ndarray
-    W_if: np.ndarray
-    W_ig: np.ndarray
-    W_io: np.ndarray
-    W_hi: np.ndarray
-    W_hf: np.ndarray
-    W_hg: np.ndarray
-    W_ho: np.ndarray
-    b_ii: np.ndarray
-    b_if: np.ndarray
-    b_ig: np.ndarray
-    b_io: np.ndarray
-    b_hi: np.ndarray
-    b_hf: np.ndarray
-    b_hg: np.ndarray
-    b_ho: np.ndarray
+    W_x: np.ndarray
+    W_h: np.ndarray
+    b_x: np.ndarray
+    b_h: np.ndarray
 
     GATE_ORDER = ("i", "f", "g", "o")
 
     @property
     def hidden_size(self) -> int:
-        return self.W_ii.shape[0]
+        return self.W_h.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.W_ii.shape[1]
+        return self.W_x.shape[0]
 
     def check_shapes(self):
-        h, d = self.W_ii.shape
-        for g in self.GATE_ORDER:
-            if getattr(self, f"W_i{g}").shape != (h, d):
-                raise ShapeMismatch(f"W_i{g} shape mismatch")
-            if getattr(self, f"W_h{g}").shape != (h, h):
-                raise ShapeMismatch(f"W_h{g} shape mismatch")
-            for prefix in ("b_i", "b_h"):
-                if getattr(self, f"{prefix}{g}").shape != (h,):
-                    raise ShapeMismatch(f"{prefix}{g} shape mismatch")
-
-    def stacked(self):
-        """(W_x (D, 4H), W_h (H, 4H), b (4H,)) with gate order i, f, g, o."""
-        wx = np.concatenate([getattr(self, f"W_i{g}") for g in self.GATE_ORDER], axis=0).T
-        wh = np.concatenate([getattr(self, f"W_h{g}") for g in self.GATE_ORDER], axis=0).T
-        b = np.concatenate(
-            [getattr(self, f"b_i{g}") + getattr(self, f"b_h{g}") for g in self.GATE_ORDER])
-        return np.ascontiguousarray(wx), np.ascontiguousarray(wh), b
+        h = self.hidden_size
+        expected = {"W_x": (self.input_size, 4 * h), "W_h": (h, 4 * h),
+                    "b_x": (4 * h,), "b_h": (4 * h,)}
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ShapeMismatch(f"{name} shape {getattr(self, name).shape} != {shape}")
 
     @staticmethod
     def zeros(input_size: int, hidden_size: int, dtype=np.float64) -> "LSTMCellParams":
-        kw = {}
-        for g in LSTMCellParams.GATE_ORDER:
-            kw[f"W_i{g}"] = np.zeros((hidden_size, input_size), dtype=dtype)
-            kw[f"W_h{g}"] = np.zeros((hidden_size, hidden_size), dtype=dtype)
-            kw[f"b_i{g}"] = np.zeros(hidden_size, dtype=dtype)
-            kw[f"b_h{g}"] = np.zeros(hidden_size, dtype=dtype)
-        return LSTMCellParams(**kw)
+        g = 4 * hidden_size
+        return LSTMCellParams(W_x=np.zeros((input_size, g), dtype=dtype),
+                              W_h=np.zeros((hidden_size, g), dtype=dtype),
+                              b_x=np.zeros(g, dtype=dtype), b_h=np.zeros(g, dtype=dtype))
+
+
+def _lstm_operands(params: LSTMCellParams, dtype):
+    """(W_x, W_h, b_x + b_h) in ``dtype``: what each step multiplies by and adds."""
+    return (params.W_x.astype(dtype, copy=False), params.W_h.astype(dtype, copy=False),
+            (params.b_x + params.b_h).astype(dtype, copy=False))
+
+
+def _lstm_step(x_t, h_prev, c_prev, wx, wh, bias):
+    """The gate math of one step, for any leading batch shape:
+
+        [i f g o] = x W_x + h_prev W_h + (b_x + b_h)   (pre-activations)
+        i, f, o = sigmoid(.),  g = tanh(.)
+        c = f * c_prev + i * g
+        h = o * tanh(c)
+
+    Returns (h, c, (i, f, g, o, tanh(c))).
+    """
+    hsz = wh.shape[0]
+    gates = x_t @ wx + h_prev @ wh + bias
+    i = sigmoid(gates[..., 0 * hsz:1 * hsz])
+    f = sigmoid(gates[..., 1 * hsz:2 * hsz])
+    g = np.tanh(gates[..., 2 * hsz:3 * hsz])
+    o = sigmoid(gates[..., 3 * hsz:4 * hsz])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, g, o, tc)
 
 
 def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
               params: LSTMCellParams):
-    """One LSTM step:
+    """One LSTM step (see ``_lstm_step``), the same code ``lstm_sequence``
+    runs at every time step.
 
-        i = sigmoid(W_ii x + b_ii + W_hi h + b_hi)     f, o analogous
-        g = tanh(W_ig x + b_ig + W_hg h + b_hg)
-        c = f * c_prev + i * g
-        h = o * tanh(c)
-
-    Returns (h, c, cache) with gate activations cached for the backward pass.
+    Returns (h, c, cache) with gate activations cached.
     """
     params.check_shapes()
     if x_t.shape[-1] != params.input_size:
         raise ShapeMismatch(f"x_t dim {x_t.shape[-1]} != input size {params.input_size}")
     if h_prev.shape[-1] != params.hidden_size or c_prev.shape != h_prev.shape:
         raise ShapeMismatch("state shapes inconsistent with hidden size")
-    wx, wh, b = params.stacked()
-    gates = x_t @ wx + h_prev @ wh + b
-    h = params.hidden_size
-    i = sigmoid(gates[..., 0 * h:1 * h])
-    f = sigmoid(gates[..., 1 * h:2 * h])
-    g = np.tanh(gates[..., 2 * h:3 * h])
-    o = sigmoid(gates[..., 3 * h:4 * h])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h_t = o * tc
+    h_t, c, (i, f, g, o, tc) = _lstm_step(x_t, h_prev, c_prev, params.W_x, params.W_h,
+                                          params.b_x + params.b_h)
     cache = (x_t, h_prev, c_prev, i, f, g, o, tc)
     return h_t, c, cache
-
-
-def lstm_cell_backward(cache, params: LSTMCellParams, grad_h: np.ndarray,
-                       grad_c: np.ndarray):
-    """Backward through one step.
-
-    Returns (grad_x, grad_h_prev, grad_c_prev, grad_gates) where grad_gates is
-    the (..., 4H) gradient at the pre-activations, for weight accumulation.
-    """
-    x_t, h_prev, c_prev, i, f, g, o, tc = cache
-    do = grad_h * tc
-    dc = grad_c + grad_h * o * (1.0 - tc * tc)
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    grad_c_prev = dc * f
-    d_gates = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        dg * (1.0 - g * g),
-        do * o * (1.0 - o),
-    ], axis=-1)
-    wx, wh, _ = params.stacked()
-    grad_x = d_gates @ wx.T
-    grad_h_prev = d_gates @ wh.T
-    return grad_x, grad_h_prev, grad_c_prev, d_gates
 
 
 def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
@@ -371,10 +339,7 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     if h.shape != (b, hsz) or c.shape != (b, hsz):
         raise ShapeMismatch("initial state shape mismatch")
 
-    wx, wh, bias = params.stacked()
-    wx = wx.astype(dtype)
-    wh = wh.astype(dtype)
-    bias = bias.astype(dtype)
+    wx, wh, bias = _lstm_operands(params, dtype)
     h_seq = np.empty((b, t, hsz), dtype=dtype)
     gi = np.empty((b, t, hsz), dtype=dtype)
     gf = np.empty((b, t, hsz), dtype=dtype)
@@ -388,14 +353,7 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     for step in range(t):
         h_prevs[:, step] = h
         c_prevs[:, step] = c
-        gates = xb[:, step] @ wx + h @ wh + bias
-        i = sigmoid(gates[:, 0 * hsz:1 * hsz])
-        f = sigmoid(gates[:, 1 * hsz:2 * hsz])
-        g = np.tanh(gates[:, 2 * hsz:3 * hsz])
-        o = sigmoid(gates[:, 3 * hsz:4 * hsz])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
+        h, c, (i, f, g, o, tc) = _lstm_step(xb[:, step], h, c, wx, wh, bias)
         gi[:, step], gf[:, step], gg[:, step], go[:, step] = i, f, g, o
         cs[:, step], tcs[:, step] = c, tc
         h_seq[:, step] = h
@@ -410,16 +368,14 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
     """Backpropagation through time.
 
     Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_params is a
-    dict keyed like LSTMCellParams fields.
+    dict keyed like LSTMCellParams fields, in the same fused layout.
     """
     xb, h_prevs, c_prevs, gi, gf, gg, go, cs, tcs, single = cache
     b, t, hsz = gi.shape
     gseq, gsingle = _as_batch(grad_h_seq)
     if gseq.shape != (b, t, hsz) or gsingle != single:
         raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} mismatch")
-    wx, wh, _ = params.stacked()
-    wx = wx.astype(xb.dtype)
-    wh = wh.astype(xb.dtype)
+    wx, wh, _ = _lstm_operands(params, xb.dtype)
 
     grad_x = np.empty_like(xb)
     d_gates_seq = np.empty((b, t, 4 * hsz), dtype=xb.dtype)
@@ -446,18 +402,9 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
     x2 = xb.reshape(-1, xb.shape[-1])
     h2 = h_prevs.reshape(-1, hsz)
     dg2 = d_gates_seq.reshape(-1, 4 * hsz)
-    gwx = x2.T @ dg2  # (D, 4H)
-    gwh = h2.T @ dg2  # (H, 4H)
+    # the two bias vectors enter the gates as a sum, so they share a gradient
     gb = dg2.sum(axis=0)  # (4H,)
-
-    grads: dict[str, np.ndarray] = {}
-    for idx, gate in enumerate(LSTMCellParams.GATE_ORDER):
-        sl = slice(idx * hsz, (idx + 1) * hsz)
-        grads[f"W_i{gate}"] = gwx[:, sl].T
-        grads[f"W_h{gate}"] = gwh[:, sl].T
-        # the two bias vectors enter the gate as a sum, so they share a gradient
-        grads[f"b_i{gate}"] = gb[sl].copy()
-        grads[f"b_h{gate}"] = gb[sl].copy()
+    grads = {"W_x": x2.T @ dg2, "W_h": h2.T @ dg2, "b_x": gb, "b_h": gb.copy()}
     if single:
         grad_x = grad_x[0]
     return grad_x, grads, dh, dc

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 
 STAGE_DATA = "data"
-STAGE_PROFILES = "profiles"
 STAGE_SPLIT = "split"
 STAGE_TRAIN = "train"
 STAGE_LESSON = "lesson"

@@ -1,3 +1,5 @@
+import json
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +107,37 @@ def test_unsupported_version_raises(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatch):
         load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the parsed JSON header and write it back; the header
+    is outside the payload checksum, so only the manifest check can object."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[17:21])
+    header = json.loads(raw[21:21 + header_len])
+    edit(header)
+    new = json.dumps(header, separators=(",", ":")).encode()
+    path.write_bytes(raw[:17] + struct.pack("<I", len(new)) + new + raw[21 + header_len:])
+
+
+def _entry(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: _entry(h, "lstm1/W_x").update(name="lstm1/W_y"),
+    lambda h: _entry(h, "dense1/W").update(shape=_entry(h, "dense1/W")["shape"][::-1]),
+    lambda h: h["config"].update(lstm1_units=h["config"]["lstm1_units"] * 2),
+    lambda h: h.update(train_state={"epoch": 1, "t": 1, "alpha": 1e-3, "beta1": 0.9,
+                                    "beta2": 0.999, "epsilon": 1e-8}),
+], ids=["renamed-array", "transposed-shape", "config-widths", "train-state-without-moments"])
+def test_manifest_disagreeing_with_config_raises_version_mismatch(tmp_path, edit):
+    net = build_network(CFG, seed=3)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path)
+    _rewrite_header(path, edit)
+    with pytest.raises(VersionMismatch):
+        load_checkpoint_full(path)
 
 
 def test_train_state_round_trip_enables_exact_resume(tmp_path):

@@ -10,6 +10,7 @@ from aslchamp.lesson import (
     LessonPlan,
     LessonState,
     Phase,
+    _error_template,
     PromptAttempt,
     ShowDemo,
     ShowFeedback,
@@ -260,6 +261,15 @@ def test_simulated_hopeless_learner_flags_everything():
     final = simulate_learner(PLAN, oracle_classifier, profile, default_templates())
     assert final.needs_review == ("MILK", "TEA", "COFFEE")
     assert count(final.transcript, "attempt") == 9
+
+
+def test_error_template_is_reversed_twin_else_first_other_sign():
+    # test_cli.py::test_lesson_sim_perfect_and_hopeless trains its recognizer
+    # on exactly these wrong productions
+    templates = default_templates()
+    assert _error_template("MILK", templates) is templates["COFFEE"]
+    assert _error_template("TEA", templates) is templates["COFFEE"]
+    assert _error_template("COFFEE", templates) is templates["COFFEE_REVERSED"]
 
 
 def test_simulated_learner_is_deterministic():

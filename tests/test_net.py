@@ -126,8 +126,11 @@ def test_output_layer_and_forget_bias_init():
     net = build_network(TINY, seed=0)
     assert not net.params["out/W"].any()
     assert not net.params["out/b"].any()
-    assert np.all(net.params["lstm1/b_if"] == 1.0)
-    assert not net.params["lstm1/b_hf"].any()
+    h = TINY.lstm1_width
+    b_x = net.params["lstm1/b_x"]
+    assert np.all(b_x[h:2 * h] == 1.0)  # forget block
+    assert not b_x[:h].any() and not b_x[2 * h:].any()
+    assert not net.params["lstm1/b_h"].any()
 
 
 def test_output_layer_has_n_classes_units():

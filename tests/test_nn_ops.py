@@ -75,16 +75,18 @@ def pool_oracle(x, window, stride):
 
 
 def lstm_cell_oracle(x_t, h_prev, c_prev, params):
-    """Scalar-loop implementation of the gate equations."""
-    h_size = params.W_ii.shape[0]
-    d = params.W_ii.shape[1]
+    """Scalar-loop implementation of the gate equations; gate k reads column
+    block k of the fused arrays."""
+    h_size = params.W_h.shape[0]
+    d = params.W_x.shape[0]
 
-    def gate(w_i, b_i, w_h, b_h, row, squash):
-        acc = float(b_i[row]) + float(b_h[row])
+    def gate(k, row, squash):
+        j = k * h_size + row
+        acc = float(params.b_x[j]) + float(params.b_h[j])
         for col in range(d):
-            acc += float(w_i[row, col]) * float(x_t[col])
+            acc += float(params.W_x[col, j]) * float(x_t[col])
         for col in range(h_size):
-            acc += float(w_h[row, col]) * float(h_prev[col])
+            acc += float(params.W_h[col, j]) * float(h_prev[col])
         return squash(acc)
 
     def sig(z):
@@ -93,21 +95,26 @@ def lstm_cell_oracle(x_t, h_prev, c_prev, params):
     h_out = np.empty(h_size)
     c_out = np.empty(h_size)
     for r in range(h_size):
-        i = gate(params.W_ii, params.b_ii, params.W_hi, params.b_hi, r, sig)
-        f = gate(params.W_if, params.b_if, params.W_hf, params.b_hf, r, sig)
-        g = gate(params.W_ig, params.b_ig, params.W_hg, params.b_hg, r, math.tanh)
-        o = gate(params.W_io, params.b_io, params.W_ho, params.b_ho, r, sig)
+        i = gate(0, r, sig)
+        f = gate(1, r, sig)
+        g = gate(2, r, math.tanh)
+        o = gate(3, r, sig)
         c_out[r] = f * float(c_prev[r]) + i * g
         h_out[r] = o * math.tanh(c_out[r])
     return h_out, c_out
 
 
 def random_lstm_params(rng, d, h, scale=0.5) -> LSTMCellParams:
-    p = LSTMCellParams.zeros(d, h)
-    for name in vars(p):
-        arr = getattr(p, name)
-        setattr(p, name, rng.standard_normal(arr.shape) * scale)
-    return p
+    """Draws per gate (i, f, g, o) an input matrix (h, d) each, then a
+    recurrent matrix (h, h) each, then the two bias vectors (h,) each, and
+    packs every family into its fused column blocks."""
+    shapes = {"W_x": (h, d), "W_h": (h, h), "b_x": (h,), "b_h": (h,)}
+    drawn = {name: [rng.standard_normal(shape) * scale for _ in LSTMCellParams.GATE_ORDER]
+             for name, shape in shapes.items()}
+    return LSTMCellParams(
+        W_x=np.ascontiguousarray(np.concatenate(drawn["W_x"]).T),
+        W_h=np.ascontiguousarray(np.concatenate(drawn["W_h"]).T),
+        b_x=np.concatenate(drawn["b_x"]), b_h=np.concatenate(drawn["b_h"]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +368,7 @@ def test_lstm_cell_zero_params_halves_cell(rng):
 
 def test_lstm_cell_saturated_forget_gate_preserves_cell(rng):
     params = LSTMCellParams.zeros(3, 4)
-    params.b_if = np.full(4, 20.0)
+    params.b_x[4:8] = 20.0  # forget block
     c_prev = rng.standard_normal(4)
     _, c, _ = lstm_cell(np.zeros(3), np.zeros(4), c_prev, params)
     np.testing.assert_allclose(c, c_prev, atol=1e-8)
