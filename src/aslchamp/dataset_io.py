@@ -7,23 +7,24 @@ is a header carrying the magic string and schema version:
     {"label": "COFFEE", "signer_id": "s00", "handedness": "right",
      "duration_s": 3.0, "frames": [{"t": 0.0, "left": {...}, "right": {...}}]}
 
-Hand records hold "present", "loc" (25x3), "rot" (25x3) and "hand_rot" (3).
-Floats are written with Python's shortest round-trip representation, so a
-read-back dataset is numerically identical to what was written.
+Hand records hold "present" (a JSON boolean), "loc" (25x3), "rot" (25x3) and
+"hand_rot" (3).  Floats are written with Python's shortest round-trip
+representation, so a read-back dataset is numerically identical to what was
+written.  Each of a sample's five arrays is converted whole: one ``tolist()``
+when writing and one ``np.array`` when reading.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 
 import numpy as np
 
 from .gesture import (
     GestureDataset,
     GestureSample,
-    HandFrame,
-    JointFrame,
     sign_class,
     validate_dataset,
     validate_sample,
@@ -41,63 +42,61 @@ class SchemaError(Exception):
     """File parsed, but a record violates the sample schema."""
 
 
-def _hand_to_obj(hand: HandFrame) -> dict:
-    return {
-        "present": hand.present,
-        "loc": hand.locations.tolist(),
-        "rot": hand.rotations.tolist(),
-        "hand_rot": hand.hand_rotation.tolist(),
-    }
+_FRAME_KEYS = ("t", "left", "right")
+_HAND_KEYS = ("present", "loc", "rot", "hand_rot")
 
 
-def _hand_from_obj(obj: dict) -> HandFrame:
-    try:
-        return HandFrame(
-            locations=np.array(obj["loc"], dtype=np.float64),
-            rotations=np.array(obj["rot"], dtype=np.float64),
-            hand_rotation=np.array(obj["hand_rot"], dtype=np.float64),
-            present=bool(obj["present"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"bad hand record: {e}") from e
+def _records(keys: tuple[str, ...], *columns: list) -> list[dict]:
+    """One dict per row of the equal-length ``columns``, keyed by ``keys`` in order."""
+    return list(map(dict, map(zip, repeat(keys), zip(*columns))))
 
 
 def _sample_to_line(sample: GestureSample) -> str:
+    # Hand axis first, so each column's tolist() splits into left and right.
+    by_side = zip(sample.present.T.tolist(),
+                  *(np.swapaxes(getattr(sample, name), 0, 1).tolist()
+                    for name in ("locations", "rotations", "hand_rotation")))
+    left, right = (_records(_HAND_KEYS, *columns) for columns in by_side)
     obj = {
         "label": sample.label.name,
         "signer_id": sample.signer_id,
         "handedness": sample.handedness,
         "duration_s": sample.duration_s,
-        "frames": [
-            {"t": f.timestamp_s, "left": _hand_to_obj(f.left), "right": _hand_to_obj(f.right)}
-            for f in sample.frames
-        ],
+        "frames": _records(_FRAME_KEYS, sample.timestamps.tolist(), left, right),
     }
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _sample_from_obj(obj: dict, line_no: int) -> GestureSample:
+def _sample_from_obj(obj, line_no: int) -> GestureSample:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"line {line_no}: record is not a JSON object")
     try:
         label = sign_class(obj["label"])
-    except KeyError as e:
+    except (KeyError, TypeError) as e:
         raise SchemaError(f"line {line_no}: {e}") from e
     try:
-        frames = tuple(
-            JointFrame(
-                timestamp_s=float(f["t"]),
-                left=_hand_from_obj(f["left"]),
-                right=_hand_from_obj(f["right"]),
-            )
-            for f in obj["frames"]
-        )
+        frames = obj["frames"]
+        hands = [(f["left"], f["right"]) for f in frames]
+
+        def column(key, dtype=np.float64):
+            return np.array([[h[key] for h in pair] for pair in hands], dtype=dtype)
+
+        present = column("present", dtype=None)
+        if present.size and present.dtype != np.bool_:
+            raise SchemaError(f"line {line_no}: bad sample record: "
+                              f"'present' must be a JSON boolean")
         sample = GestureSample(
             label=label,
-            frames=frames,
+            timestamps=np.array([f["t"] for f in frames], dtype=np.float64),
+            locations=column("loc"),
+            rotations=column("rot"),
+            hand_rotation=column("hand_rot"),
+            present=present,
             signer_id=str(obj["signer_id"]),
             handedness=str(obj["handedness"]),
             duration_s=float(obj["duration_s"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"line {line_no}: bad sample record: {e}") from e
     report = validate_sample(sample)
     if not report.ok:
@@ -119,15 +118,25 @@ def write_dataset(ds: GestureDataset, path: str | os.PathLike) -> None:
             fh.write(_sample_to_line(sample) + "\n")
 
 
+def parse_json_line(line: bytes, what: str):
+    """Parse one UTF-8 JSON line; a broken one raises FormatError naming ``what``."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{what}: {e}") from e
+
+
 def read_dataset(path: str | os.PathLike) -> GestureDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a dataset file.
+
+    Raises FormatError when the file is not a dataset file or a line is not
+    JSON, and SchemaError when a record is not a valid sample.
+    """
+    with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
             raise FormatError("empty file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"bad header: {e}") from e
+        header = parse_json_line(header_line, "bad header")
         if not isinstance(header, dict) or header.get("magic") != MAGIC:
             raise FormatError(f"bad magic: expected {MAGIC!r}")
         version = header.get("schema_version")
@@ -138,10 +147,7 @@ def read_dataset(path: str | os.PathLike) -> GestureDataset:
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"line {line_no}: bad record: {e}") from e
+            obj = parse_json_line(line, f"line {line_no}: bad record")
             samples.append(_sample_from_obj(obj, line_no))
     return GestureDataset(
         samples=tuple(samples),

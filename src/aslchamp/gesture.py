@@ -2,9 +2,18 @@
 
 A sign production is a timed sequence of frames; each frame carries, per hand,
 25 tracked joints (location in meters, rotation in degrees) plus an overall
-hand rotation and a presence flag.  This module validates samples, encodes
-them into dense feature matrices for the recognizer, and mirrors productions
-across the sagittal plane to convert between left- and right-handed signing.
+hand rotation and a presence flag.  A ``GestureSample`` stores these as five
+arrays over its T frames, hand axis 0 = left and 1 = right:
+
+    timestamps (T,), locations (T, 2, 25, 3), rotations (T, 2, 25, 3),
+    hand_rotation (T, 2, 3), present (T, 2) bool
+
+``HandFrame``/``JointFrame`` are the per-frame view of the same data:
+``GestureSample.from_frames`` packs frames into the arrays and
+``GestureSample.frames`` unpacks them.  This module validates samples,
+encodes them into dense feature matrices for the recognizer, and mirrors
+productions across the sagittal plane to convert between left- and
+right-handed signing; each works on whole arrays.
 
 Feature layout (one row per frame, fixed concatenation order):
 
@@ -100,31 +109,25 @@ def register_control_class(name: str) -> SignClass:
 # Frames and samples
 # ---------------------------------------------------------------------------
 
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+SIDES = ("left", "right")  # hand axis 0 and 1 of every per-hand sample array
+# Per-hand array fields and their shape at one time step.
+_HAND_FIELDS: tuple[tuple[str, tuple[int, ...]], ...] = (
+    ("locations", (NUM_JOINTS, 3)),
+    ("rotations", (NUM_JOINTS, 3)),
+    ("hand_rotation", (3,)),
+)
+_SAMPLE_ARRAYS = ("timestamps", "locations", "rotations", "hand_rotation", "present")
 
 
 @dataclass(frozen=True, eq=False)
 class HandFrame:
-    """One hand at one time step.
+    """One hand at one time step: a view into a sample (``GestureSample.frames``)
+    or input to ``GestureSample.from_frames``."""
 
-    ``locations``/``rotations`` are nominally (25, 3); validation reports a
-    finding instead of raising when the shape is off, so the constructor
-    accepts whatever it is given.
-    """
-
-    locations: np.ndarray  # (J, 3) meters, headset-local
-    rotations: np.ndarray  # (J, 3) degrees: pitch, yaw, roll
+    locations: np.ndarray  # (25, 3) meters, headset-local
+    rotations: np.ndarray  # (25, 3) degrees: pitch, yaw, roll
     hand_rotation: np.ndarray  # (3,) degrees
     present: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "locations", _freeze(self.locations))
-        object.__setattr__(self, "rotations", _freeze(self.rotations))
-        object.__setattr__(self, "hand_rotation", _freeze(self.hand_rotation))
 
     @staticmethod
     def absent() -> "HandFrame":
@@ -135,16 +138,6 @@ class HandFrame:
             present=False,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, HandFrame):
-            return NotImplemented
-        return (
-            self.present == other.present
-            and np.array_equal(self.locations, other.locations)
-            and np.array_equal(self.rotations, other.rotations)
-            and np.array_equal(self.hand_rotation, other.hand_rotation)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class JointFrame:
@@ -152,28 +145,84 @@ class JointFrame:
     left: HandFrame
     right: HandFrame
 
-    def __eq__(self, other):
-        if not isinstance(other, JointFrame):
-            return NotImplemented
-        return (
-            self.timestamp_s == other.timestamp_s
-            and self.left == other.left
-            and self.right == other.right
-        )
+
+def _column(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.size == 0 and shape[0] == 0:
+        arr = arr.reshape(shape)  # a sample without frames: any empty input will do
+    if arr.shape != shape:
+        raise InvalidSample(f"joint-count: {name} expected {shape}, got {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class GestureSample:
-    """One labeled sign production."""
+    """One labeled sign production, stored as columns over its T frames.
+
+    Hand axis 0 is the left hand and 1 the right.  An absent hand keeps
+    whatever values it was given (zeros from the generator); only ``present``
+    says it is absent.  The arrays are float64 (``present`` bool) and
+    read-only; a wrong shape raises ``InvalidSample`` (rule ``joint-count``).
+    """
 
     label: SignClass
-    frames: tuple[JointFrame, ...]
+    timestamps: np.ndarray  # (T,) seconds
+    locations: np.ndarray  # (T, 2, 25, 3) meters, headset-local
+    rotations: np.ndarray  # (T, 2, 25, 3) degrees: pitch, yaw, roll
+    hand_rotation: np.ndarray  # (T, 2, 3) degrees
+    present: np.ndarray  # (T, 2) bool
     signer_id: str
     handedness: str  # "left" | "right"
     duration_s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        shape = np.shape(self.timestamps)
+        if len(shape) != 1:
+            raise InvalidSample(f"joint-count: timestamps expected (T,), got {shape}")
+        t = shape[0]
+        columns = [("timestamps", np.float64, (t,)), ("present", np.bool_, (t, 2))]
+        columns += [(name, np.float64, (t, 2) + hand) for name, hand in _HAND_FIELDS]
+        for name, dtype, full in columns:
+            object.__setattr__(self, name, _column(getattr(self, name), dtype, full, name))
+
+    @classmethod
+    def from_frames(cls, label: SignClass, frames, signer_id: str, handedness: str,
+                    duration_s: float) -> "GestureSample":
+        """Pack per-frame records into the columns.
+
+        Raises ``InvalidSample`` (rule ``joint-count``) naming the first frame,
+        side and field whose array has the wrong shape.
+        """
+        frames = tuple(frames)
+        hands = [(f.left, f.right) for f in frames]
+        for i, pair in enumerate(hands):
+            for side, hand in zip(SIDES, pair):
+                for name, shape in _HAND_FIELDS:
+                    got = np.shape(getattr(hand, name))
+                    if got != shape:
+                        raise InvalidSample(f"joint-count: frame {i} {side}.{name}: "
+                                            f"expected {shape}, got {got}")
+
+        def column(name):
+            return [[getattr(h, name) for h in pair] for pair in hands]
+
+        return cls(label=label, timestamps=[f.timestamp_s for f in frames],
+                   locations=column("locations"), rotations=column("rotations"),
+                   hand_rotation=column("hand_rotation"), present=column("present"),
+                   signer_id=signer_id, handedness=handedness, duration_s=duration_s)
+
+    @property
+    def frames(self) -> tuple[JointFrame, ...]:
+        """Per-frame views of the columns (read-only arrays)."""
+        present = self.present.tolist()
+
+        def hand(k, s):
+            return HandFrame(self.locations[k, s], self.rotations[k, s],
+                             self.hand_rotation[k, s], present[k][s])
+
+        return tuple(JointFrame(t, hand(k, 0), hand(k, 1))
+                     for k, t in enumerate(self.timestamps.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, GestureSample):
@@ -183,8 +232,8 @@ class GestureSample:
             and self.signer_id == other.signer_id
             and self.handedness == other.handedness
             and self.duration_s == other.duration_s
-            and len(self.frames) == len(other.frames)
-            and all(a == b for a, b in zip(self.frames, other.frames))
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in _SAMPLE_ARRAYS)
         )
 
 
@@ -236,51 +285,42 @@ class ValidationReport:
         return self.ok
 
 
-def _check_hand(hand: HandFrame, side: str, idx: int, findings: list[Finding]):
-    if not hand.present:
-        return
-    for name, arr, shape in (
-        ("locations", hand.locations, (NUM_JOINTS, 3)),
-        ("rotations", hand.rotations, (NUM_JOINTS, 3)),
-    ):
-        if arr.shape != shape:
-            findings.append(Finding("joint-count", f"{side}.{name}", idx,
-                                    f"expected {shape}, got {arr.shape}"))
-        elif not np.isfinite(arr).all():
-            findings.append(Finding("non-finite", f"{side}.{name}", idx))
-    if hand.hand_rotation.shape != (3,):
-        findings.append(Finding("joint-count", f"{side}.hand_rotation", idx,
-                                f"expected (3,), got {hand.hand_rotation.shape}"))
-    elif not np.isfinite(hand.hand_rotation).all():
-        findings.append(Finding("non-finite", f"{side}.hand_rotation", idx))
-
-
 def validate_sample(sample: GestureSample) -> ValidationReport:
-    """Check every type invariant; reports findings, never raises."""
+    """Check every invariant the array shapes do not; reports findings, never raises.
+
+    Findings come frame by frame, each frame's in the order: timestamp, then
+    locations, rotations and hand_rotation of the left and the right hand.
+    Absent hands are not checked.
+    """
     findings: list[Finding] = []
     if not isinstance(sample.label, SignClass):
         findings.append(Finding("bad-label", "label", None, repr(sample.label)))
     if sample.handedness not in HANDEDNESS_VALUES:
         findings.append(Finding("bad-handedness", "handedness", None,
                                 repr(sample.handedness)))
-    if not sample.frames:
+    ts = sample.timestamps
+    if not ts.size:
         findings.append(Finding("empty-frames", "frames"))
         return ValidationReport(tuple(findings))
 
-    prev_t = -np.inf
-    for i, frame in enumerate(sample.frames):
-        if not np.isfinite(frame.timestamp_s):
-            findings.append(Finding("non-finite", "timestamp_s", i))
-        elif frame.timestamp_s <= prev_t:
-            findings.append(Finding("monotonic-time", "timestamp_s", i,
-                                    f"{frame.timestamp_s} after {prev_t}"))
-        prev_t = frame.timestamp_s
-        _check_hand(frame.left, "left", i, findings)
-        _check_hand(frame.right, "right", i, findings)
+    prev = np.concatenate(([-np.inf], ts[:-1]))
+    finite = np.isfinite(ts)
+    checks = [(~finite, "non-finite", "timestamp_s"),
+              (finite & (ts <= prev), "monotonic-time", "timestamp_s")]
+    for s, side in enumerate(SIDES):
+        for name, _ in _HAND_FIELDS:
+            values = getattr(sample, name)[:, s].reshape(ts.size, -1)
+            bad = sample.present[:, s] & ~np.isfinite(values).all(axis=1)
+            checks.append((bad, "non-finite", f"{side}.{name}"))
+    frame_idx, check_idx = np.nonzero(np.column_stack([c[0] for c in checks]))
+    for i, c in zip(frame_idx.tolist(), check_idx.tolist()):
+        _, rule, field = checks[c]
+        detail = f"{float(ts[i])} after {float(prev[i])}" if rule == "monotonic-time" else ""
+        findings.append(Finding(rule, field, i, detail))
 
-    last_t = sample.frames[-1].timestamp_s
+    last_t = float(ts[-1])
     if sample.duration_s != last_t:
-        findings.append(Finding("duration-mismatch", "duration_s", len(sample.frames) - 1,
+        findings.append(Finding("duration-mismatch", "duration_s", ts.size - 1,
                                 f"duration {sample.duration_s} != last timestamp {last_t}"))
     return ValidationReport(tuple(findings))
 
@@ -353,39 +393,26 @@ class FeatureMatrix:
         return self.mask_len == other.mask_len and np.array_equal(self.values, other.values)
 
 
-def _wrist_center(frame: JointFrame) -> np.ndarray:
-    wrists = [h.locations[WRIST_JOINT]
-              for h in (frame.left, frame.right)
-              if h.present and h.locations.shape == (NUM_JOINTS, 3)]
-    if not wrists:
-        return np.zeros(3)
-    return np.mean(wrists, axis=0)
-
-
-def _encode_hand(hand: HandFrame, center: np.ndarray) -> np.ndarray:
-    if not hand.present:
-        return np.zeros(HAND_FEATURE_DIM)
-    loc = (hand.locations - center) / LOCATION_SCALE_M
-    rot = hand.rotations / ROTATION_SCALE_DEG
-    block = np.hstack([loc, rot]).reshape(-1)  # per joint: loc xyz then rot pyr
-    return np.concatenate([block, hand.hand_rotation / ROTATION_SCALE_DEG])
+def _wrist_center(sample: GestureSample) -> np.ndarray:
+    """Midpoint of the present wrists in the first frame; the origin if none."""
+    wrists = sample.locations[0, sample.present[0], WRIST_JOINT]
+    return wrists.mean(axis=0) if len(wrists) else np.zeros(3)
 
 
 def encode_features(sample: GestureSample, cfg: EncodingConfig = EncodingConfig()) -> FeatureMatrix:
     """Encode a validated sample into its T x D feature matrix (deterministic)."""
     require_valid(sample)
-    center = _wrist_center(sample.frames[0])
-    rows = []
-    for frame in sample.frames:
-        row = np.concatenate([
-            _encode_hand(frame.left, center),
-            _encode_hand(frame.right, center),
-        ])
-        if cfg.presence_flags:
-            row = np.concatenate([row, [float(frame.left.present), float(frame.right.present)]])
-        rows.append(row)
-    values = np.vstack(rows)
-    return FeatureMatrix(values=values, mask_len=values.shape[0])
+    t = sample.timestamps.size
+    loc = (sample.locations - _wrist_center(sample)) / LOCATION_SCALE_M
+    rot = sample.rotations / ROTATION_SCALE_DEG
+    hands = np.concatenate([
+        np.concatenate([loc, rot], axis=3).reshape(t, 2, -1),  # per joint: loc xyz then rot pyr
+        sample.hand_rotation / ROTATION_SCALE_DEG,
+    ], axis=2)
+    values = np.where(sample.present[:, :, None], hands, 0.0).reshape(t, FEATURE_DIM)
+    if cfg.presence_flags:
+        values = np.hstack([values, sample.present.astype(np.float64)])
+    return FeatureMatrix(values=values, mask_len=t)
 
 
 def pad_or_truncate(m: FeatureMatrix, t_max: int) -> FeatureMatrix:
@@ -407,36 +434,26 @@ def pad_or_truncate(m: FeatureMatrix, t_max: int) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _mirror_hand(hand: HandFrame) -> HandFrame:
-    loc = hand.locations.copy()
-    rot = hand.rotations.copy()
-    hrot = hand.hand_rotation.copy()
-    if loc.ndim == 2 and loc.shape[1] == 3:
-        loc[:, 0] = -loc[:, 0]  # reflect across the sagittal plane
-    if rot.ndim == 2 and rot.shape[1] == 3:
-        rot[:, 1] = -rot[:, 1]  # yaw
-        rot[:, 2] = -rot[:, 2]  # roll
-    if hrot.shape == (3,):
-        hrot[1] = -hrot[1]
-        hrot[2] = -hrot[2]
-    return HandFrame(locations=loc, rotations=rot, hand_rotation=hrot, present=hand.present)
-
-
 def mirror_handedness(sample: GestureSample) -> GestureSample:
-    """Swap hands and reflect across the sagittal plane; an exact involution."""
+    """Swap hands and reflect across the sagittal plane; an exact involution.
+
+    Absent hands are swapped and reflected like present ones.
+    """
     require_valid(sample)
-    frames = tuple(
-        JointFrame(
-            timestamp_s=f.timestamp_s,
-            left=_mirror_hand(f.right),
-            right=_mirror_hand(f.left),
-        )
-        for f in sample.frames
-    )
+    loc = sample.locations[:, ::-1].copy()
+    rot = sample.rotations[:, ::-1].copy()
+    hrot = sample.hand_rotation[:, ::-1].copy()
+    loc[..., 0] = -loc[..., 0]  # reflect across the sagittal plane
+    rot[..., 1:] = -rot[..., 1:]  # yaw and roll
+    hrot[..., 1:] = -hrot[..., 1:]
     flipped = "left" if sample.handedness == "right" else "right"
     return GestureSample(
         label=sample.label,
-        frames=frames,
+        timestamps=sample.timestamps,
+        locations=loc,
+        rotations=rot,
+        hand_rotation=hrot,
+        present=sample.present[:, ::-1],
         signer_id=sample.signer_id,
         handedness=flipped,
         duration_s=sample.duration_s,

@@ -8,7 +8,8 @@ direction of circular movements (COFFEE vs the COFFEE_REVERSED control class).
 
 Coordinates are headset-local: x to the signer's right, y up, z forward.
 Templates are authored right-hand-dominant; left-handed productions are made
-by mirroring the finished sample across the sagittal plane.
+by mirroring the finished sample across the sagittal plane.  Generation and
+perturbation compute whole (T, 2, ...) sample arrays; no step runs per frame.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .gesture import (
     COFFEE_REVERSED,
     GestureDataset,
     GestureSample,
-    HandFrame,
-    JointFrame,
     NUM_JOINTS,
     SignClass,
     mirror_handedness,
@@ -430,15 +429,6 @@ class PerturbParams:
 DURATION_CLAMP_S = (1.0, 6.0)
 
 
-def _hand_frames(path_pts, pose_offsets, joint_rots, hand_rots):
-    for k in range(path_pts.shape[0]):
-        yield HandFrame(
-            locations=path_pts[k][None, :] + pose_offsets[k],
-            rotations=wrap_degrees(joint_rots[k]),
-            hand_rotation=wrap_degrees(hand_rots[k]),
-        )
-
-
 def generate_sample(template: SignTemplate, profile: SignerProfile,
                     rng: np.random.Generator,
                     frame_rate_hz: float = gesture.DEFAULT_FRAME_RATE_HZ,
@@ -469,25 +459,24 @@ def generate_sample(template: SignTemplate, profile: SignerProfile,
         pose_offsets, pose_rots = _pose_arrays(pose_keys, u)
         hand_rots = _rotation_array(rot_keys, u) + rot_offset + rot_noise
         joint_rots = hand_rots[:, None, :] + pose_rots
-        return pts, pose_offsets, joint_rots, hand_rots
+        return (pts[:, None, :] + pose_offsets, wrap_degrees(joint_rots),
+                wrap_degrees(hand_rots))
 
-    dom = build_hand(template.dominant_path, template.dominant_pose_keys,
-                     template.dominant_rotation)
-    right_frames = list(_hand_frames(*dom))
+    right = build_hand(template.dominant_path, template.dominant_pose_keys,
+                       template.dominant_rotation)
     if template.two_handed:
-        nondom = build_hand(template.nondominant_path, template.nondominant_pose_keys,
-                            template.nondominant_rotation)
-        left_frames = list(_hand_frames(*nondom))
+        left = build_hand(template.nondominant_path, template.nondominant_pose_keys,
+                          template.nondominant_rotation)
     else:
-        left_frames = [HandFrame.absent()] * n
-
-    frames = tuple(
-        JointFrame(timestamp_s=float(timestamps[k]), left=left_frames[k], right=right_frames[k])
-        for k in range(n)
-    )
+        left = (np.zeros((n, NUM_JOINTS, 3)), np.zeros((n, NUM_JOINTS, 3)), np.zeros((n, 3)))
+    locations, rotations, hand_rotation = (np.stack(pair, axis=1) for pair in zip(left, right))
     sample = GestureSample(
         label=template.sign,
-        frames=frames,
+        timestamps=timestamps,
+        locations=locations,
+        rotations=rotations,
+        hand_rotation=hand_rotation,
+        present=np.column_stack([np.full(n, template.two_handed), np.ones(n, dtype=bool)]),
         signer_id=profile.signer_id,
         handedness="right",
         duration_s=duration,
@@ -560,7 +549,7 @@ def generate_dataset(spec: DatasetSpec,
 
 
 def _resample_sample(sample: GestureSample, factor: float) -> GestureSample:
-    old_ts = np.array([f.timestamp_s for f in sample.frames])
+    old_ts = sample.timestamps
     n_old = len(old_ts)
     rate = (n_old - 1) / sample.duration_s if sample.duration_s > 0 else 1.0
     new_duration = sample.duration_s / factor
@@ -570,40 +559,24 @@ def _resample_sample(sample: GestureSample, factor: float) -> GestureSample:
     new_ts = np.arange(n_new) / rate
     src_ts = np.clip(new_ts * factor, old_ts[0], old_ts[-1])
 
-    def interp_stack(arrs):
-        stacked = np.stack(arrs)  # (n_old, ...)
-        flat = stacked.reshape(n_old, -1)
-        out = np.empty((n_new, flat.shape[1]))
-        for col in range(flat.shape[1]):
-            out[:, col] = np.interp(src_ts, old_ts, flat[:, col])
-        return out.reshape((n_new,) + stacked.shape[1:])
+    def interp(arr):
+        cols = [np.interp(src_ts, old_ts, col) for col in arr.reshape(n_old, -1).T]
+        return np.stack(cols, axis=1).reshape((n_new,) + arr.shape[1:])
 
-    new_frames = []
-    nearest = np.searchsorted(old_ts, src_ts, side="left")
-    nearest = np.clip(nearest, 0, n_old - 1)
-    for side in ("left", "right"):
-        hands = [getattr(f, side) for f in sample.frames]
-        locs = interp_stack([h.locations for h in hands])
-        rots = interp_stack([h.rotations for h in hands])
-        hrots = interp_stack([h.hand_rotation for h in hands])
-        present = [hands[j].present for j in nearest]
-        new_frames.append([
-            HandFrame(locations=locs[k], rotations=rots[k], hand_rotation=hrots[k],
-                      present=present[k])
-            for k in range(n_new)
-        ])
-    frames = tuple(
-        JointFrame(timestamp_s=float(new_ts[k]), left=new_frames[0][k], right=new_frames[1][k])
-        for k in range(n_new)
-    )
-    return GestureSample(label=sample.label, frames=frames, signer_id=sample.signer_id,
+    nearest = np.clip(np.searchsorted(old_ts, src_ts, side="left"), 0, n_old - 1)
+    return GestureSample(label=sample.label, timestamps=new_ts,
+                         locations=interp(sample.locations),
+                         rotations=interp(sample.rotations),
+                         hand_rotation=interp(sample.hand_rotation),
+                         present=sample.present[nearest], signer_id=sample.signer_id,
                          handedness=sample.handedness, duration_s=float(new_ts[-1]))
 
 
 def perturb(sample: GestureSample, p: PerturbParams,
             rng: np.random.Generator | None = None) -> GestureSample:
     """Apply the enabled perturbation stages; the label is preserved and the
-    result validates.  All-zero params return the input unchanged."""
+    result validates.  All-zero params return the input unchanged; absent
+    hands are never moved."""
     require_valid(sample)
     stages_random = p.orientation_jitter_deg > 0 or p.noise_std_m > 0
     if stages_random and rng is None:
@@ -616,31 +589,22 @@ def perturb(sample: GestureSample, p: PerturbParams,
     if p.time_rescale not in (0, 1.0):
         out = _resample_sample(out, p.time_rescale)
 
-    rot_offsets = {}
-    for side in ("left", "right"):
-        rot_offsets[side] = (rng.normal(0.0, p.orientation_jitter_deg, size=3)
-                             if p.orientation_jitter_deg > 0 else np.zeros(3))
-    n = len(out.frames)
-    noise = {}
-    for side in ("left", "right"):
-        noise[side] = (rng.normal(0.0, p.noise_std_m, size=(n, 3))
-                       if p.noise_std_m > 0 else np.zeros((n, 3)))
-
-    def move_hand(h: HandFrame, side: str, k: int) -> HandFrame:
-        if not h.present:
-            return h
-        loc = h.locations + offset + noise[side][k]
-        rot = wrap_degrees(h.rotations + rot_offsets[side])
-        hrot = wrap_degrees(h.hand_rotation + rot_offsets[side])
-        return HandFrame(locations=loc, rotations=rot, hand_rotation=hrot, present=True)
-
-    frames = tuple(
-        JointFrame(timestamp_s=f.timestamp_s,
-                   left=move_hand(f.left, "left", k),
-                   right=move_hand(f.right, "right", k))
-        for k, f in enumerate(out.frames)
-    )
-    result = GestureSample(label=out.label, frames=frames, signer_id=out.signer_id,
+    n = len(out.timestamps)
+    rot_offsets = np.stack([rng.normal(0.0, p.orientation_jitter_deg, size=3)
+                            if p.orientation_jitter_deg > 0 else np.zeros(3)
+                            for _ in gesture.SIDES])  # (2, 3)
+    noise = np.stack([rng.normal(0.0, p.noise_std_m, size=(n, 3))
+                      if p.noise_std_m > 0 else np.zeros((n, 3))
+                      for _ in gesture.SIDES], axis=1)  # (n, 2, 3)
+    present = out.present[:, :, None]
+    loc = out.locations + offset + noise[:, :, None, :]
+    rot = wrap_degrees(out.rotations + rot_offsets[:, None, :])
+    hrot = wrap_degrees(out.hand_rotation + rot_offsets)
+    result = GestureSample(label=out.label, timestamps=out.timestamps,
+                           locations=np.where(present[..., None], loc, out.locations),
+                           rotations=np.where(present[..., None], rot, out.rotations),
+                           hand_rotation=np.where(present, hrot, out.hand_rotation),
+                           present=out.present, signer_id=out.signer_id,
                            handedness=out.handedness, duration_s=out.duration_s)
     require_valid(result)
     return result
@@ -679,40 +643,51 @@ def save_template_library(templates: dict[str, SignTemplate], path: str | os.Pat
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def load_template_library(path: str | os.PathLike) -> dict[str, SignTemplate]:
-    from .dataset_io import FormatError
+def _template_from_obj(obj: dict) -> SignTemplate:
+    name = obj["sign"]
+    try:
+        sc = gesture.sign_class(name)
+    except KeyError:
+        sc = register_control_class(name)
+    return SignTemplate(
+        sign=sc,
+        dominant_path=PathSpec.from_obj(obj["dominant_path"]),
+        nondominant_path=(PathSpec.from_obj(obj["nondominant_path"])
+                          if obj["nondominant_path"] else None),
+        dominant_pose_keys=tuple((u, n) for u, n in obj["dominant_pose_keys"]),
+        nondominant_pose_keys=tuple((u, n) for u, n in obj["nondominant_pose_keys"]),
+        dominant_rotation=tuple((u, tuple(v)) for u, v in obj["dominant_rotation"]),
+        nondominant_rotation=tuple((u, tuple(v)) for u, v in obj["nondominant_rotation"]),
+        two_handed=bool(obj["two_handed"]),
+    )
 
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"bad template header: {e}") from e
+
+def load_template_library(path: str | os.PathLike) -> dict[str, SignTemplate]:
+    """Read a template library file.
+
+    Raises FormatError when the file is not a library or a line is not a
+    template record (broken JSON, missing or mistyped fields), and
+    InvalidTemplate when a well-formed record describes an impossible template.
+    """
+    from .dataset_io import FormatError, parse_json_line
+
+    with open(path, "rb") as fh:
+        header = parse_json_line(fh.readline(), "bad template header")
         if not isinstance(header, dict) or header.get("magic") != TEMPLATE_MAGIC:
             raise FormatError(f"bad magic: expected {TEMPLATE_MAGIC!r}")
         if header.get("version") != TEMPLATE_VERSION:
             raise FormatError(f"unsupported template version {header.get('version')!r}")
         out: dict[str, SignTemplate] = {}
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            name = obj["sign"]
+            obj = parse_json_line(line, f"line {line_no}: bad template record")
             try:
-                sc = gesture.sign_class(name)
-            except KeyError:
-                sc = register_control_class(name)
-            tpl = SignTemplate(
-                sign=sc,
-                dominant_path=PathSpec.from_obj(obj["dominant_path"]),
-                nondominant_path=(PathSpec.from_obj(obj["nondominant_path"])
-                                  if obj["nondominant_path"] else None),
-                dominant_pose_keys=tuple((u, n) for u, n in obj["dominant_pose_keys"]),
-                nondominant_pose_keys=tuple((u, n) for u, n in obj["nondominant_pose_keys"]),
-                dominant_rotation=tuple((u, tuple(v)) for u, v in obj["dominant_rotation"]),
-                nondominant_rotation=tuple((u, tuple(v)) for u, v in obj["nondominant_rotation"]),
-                two_handed=bool(obj["two_handed"]),
-            )
-            tpl.validate()
-            out[name] = tpl
+                tpl = _template_from_obj(obj)
+                tpl.validate()
+            except InvalidTemplate:
+                raise
+            except (KeyError, TypeError, ValueError) as e:
+                raise FormatError(f"line {line_no}: bad template record: {e}") from e
+            out[tpl.sign.name] = tpl
     return out

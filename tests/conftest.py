@@ -1,3 +1,11 @@
+import os
+
+# Pin BLAS to one thread before numpy is first imported (as `aslchamp
+# --threads 1` does), so that in-process training figures do not depend on
+# the number of cores of the machine the tests run on.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
@@ -21,7 +29,7 @@ def make_sample(n_frames: int = 5, label=gesture.COFFEE, rate: float = 72.0,
                            right=make_hand(value))
         for i in range(n_frames)
     )
-    return gesture.GestureSample(
+    return gesture.GestureSample.from_frames(
         label=label, frames=frames, signer_id=signer_id,
         handedness=handedness, duration_s=frames[-1].timestamp_s,
     )
@@ -44,7 +52,7 @@ def random_sample(rng, n_frames: int = 6, one_handed: bool = False,
             )
         left = gesture.HandFrame.absent() if one_handed else hand()
         frames.append(gesture.JointFrame(timestamp_s=i / 60.0, left=left, right=hand()))
-    return gesture.GestureSample(
-        label=label, frames=tuple(frames), signer_id=signer_id,
+    return gesture.GestureSample.from_frames(
+        label=label, frames=frames, signer_id=signer_id,
         handedness="right", duration_s=frames[-1].timestamp_s,
     )

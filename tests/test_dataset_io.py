@@ -39,8 +39,8 @@ def test_round_trip_is_exact_for_awkward_floats(tmp_path):
                                  hand_rotation=f.right.hand_rotation)
         frames.append(gesture.JointFrame(timestamp_s=f.timestamp_s, left=f.left,
                                          right=hand))
-    import dataclasses
-    sample = dataclasses.replace(sample, frames=tuple(frames))
+    sample = gesture.GestureSample.from_frames(sample.label, frames, sample.signer_id,
+                                               sample.handedness, sample.duration_s)
     ds = GestureDataset(samples=(sample,), provenance="floats")
     path = tmp_path / "floats.jsonl"
     write_dataset(ds, path)
@@ -115,6 +115,58 @@ def test_invalid_sample_on_read_raises_schema_error(tmp_path):
     path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
     with pytest.raises(SchemaError):
         read_dataset(path)
+
+
+def _rewrite_record(path, edit):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+
+
+@pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None])
+def test_presence_flag_must_be_json_boolean(tmp_path, value):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(GestureDataset(samples=(make_sample(n_frames=2),)), path)
+
+    def edit(record):
+        record["frames"][1]["left"]["present"] = value
+
+    _rewrite_record(path, edit)
+    with pytest.raises(SchemaError, match="present"):
+        read_dataset(path)
+
+
+def test_empty_frames_on_read_raises_schema_error(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(GestureDataset(samples=(make_sample(n_frames=2),)), path)
+    _rewrite_record(path, lambda record: record.update(frames=[]))
+    with pytest.raises(SchemaError, match="empty-frames"):
+        read_dataset(path)
+
+
+def test_truncated_or_bit_flipped_file_raises_only_documented_errors(tmp_path):
+    rng = np.random.default_rng(0)
+    samples = (random_sample(rng, n_frames=1, one_handed=True, signer_id="s0"),
+               make_sample(n_frames=2, label=gesture.MILK))
+    path = tmp_path / "ds.jsonl"
+    write_dataset(GestureDataset(samples=samples, provenance="fuzz"), path)
+    data = path.read_bytes()
+    broken = tmp_path / "broken.jsonl"
+
+    def read_back(blob):
+        broken.write_bytes(blob)
+        try:
+            read_dataset(broken)
+        except (FormatError, SchemaError):
+            pass
+
+    for cut in range(len(data)):
+        read_back(data[:cut])
+    for offset, bit in zip(rng.integers(0, len(data), size=400), rng.integers(0, 8, size=400)):
+        flipped = bytearray(data)
+        flipped[offset] ^= 1 << int(bit)
+        read_back(bytes(flipped))
 
 
 def test_unknown_label_raises_schema_error(tmp_path):

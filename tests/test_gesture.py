@@ -12,7 +12,9 @@ from aslchamp.gesture import (
     HandFrame,
     InvalidSample,
     JointFrame,
+    LOCATION_SCALE_M,
     NUM_JOINTS,
+    ROTATION_SCALE_DEG,
     encode_features,
     mirror_handedness,
     pad_or_truncate,
@@ -20,6 +22,13 @@ from aslchamp.gesture import (
 )
 
 from conftest import make_hand, make_sample, random_sample
+
+
+def with_frames(sample: GestureSample, frames, **changes) -> GestureSample:
+    """``sample`` rebuilt from ``frames``, other fields as given or kept."""
+    kw = dict(label=sample.label, signer_id=sample.signer_id,
+              handedness=sample.handedness, duration_s=sample.duration_s)
+    return GestureSample.from_frames(frames=frames, **{**kw, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -60,23 +69,31 @@ def test_well_formed_217_frame_sample_has_empty_report():
 
 
 def test_joint_count_finding_names_frame_and_rule():
-    frames = list(make_sample(n_frames=5).frames)
+    sample = make_sample(n_frames=5)
+    frames = list(sample.frames)
     bad = HandFrame(locations=np.zeros((24, 3)), rotations=np.zeros((24, 3)),
                     hand_rotation=np.zeros(3))
     frames[3] = JointFrame(timestamp_s=frames[3].timestamp_s,
                            left=frames[3].left, right=bad)
-    sample = dataclasses.replace(make_sample(n_frames=5), frames=tuple(frames))
-    report = validate_sample(sample)
-    assert not report.ok
-    assert any(f.rule == "joint-count" and f.frame == 3 and f.field.startswith("right")
-               for f in report.findings)
+    with pytest.raises(InvalidSample, match=r"joint-count: frame 3 right\.locations"):
+        with_frames(sample, frames)
+
+
+def test_wrong_array_shape_is_refused_at_construction():
+    sample = make_sample(n_frames=4)
+    with pytest.raises(InvalidSample, match=r"joint-count: locations"):
+        dataclasses.replace(sample, locations=sample.locations[:, :, :24])
+    with pytest.raises(InvalidSample, match=r"joint-count: present"):
+        dataclasses.replace(sample, present=sample.present[:3])
+    with pytest.raises(InvalidSample, match=r"joint-count: timestamps"):
+        dataclasses.replace(sample, timestamps=sample.timestamps[:, None])
 
 
 def test_monotonic_time_finding():
     frames = list(make_sample(n_frames=12).frames)
     frames[10] = dataclasses.replace(frames[10], timestamp_s=frames[9].timestamp_s)
-    sample = dataclasses.replace(make_sample(n_frames=12), frames=tuple(frames),
-                                 duration_s=frames[-1].timestamp_s)
+    sample = with_frames(make_sample(n_frames=12), frames,
+                         duration_s=frames[-1].timestamp_s)
     report = validate_sample(sample)
     assert any(f.rule == "monotonic-time" and f.frame == 10 for f in report.findings)
 
@@ -86,8 +103,8 @@ def test_non_finite_rotation_finding():
                      rotations=np.full((NUM_JOINTS, 3), np.nan),
                      hand_rotation=np.zeros(3))
     frames = (JointFrame(timestamp_s=0.0, left=make_hand(), right=hand),)
-    sample = GestureSample(label=gesture.MILK, frames=frames, signer_id="x",
-                           handedness="right", duration_s=0.0)
+    sample = GestureSample.from_frames(label=gesture.MILK, frames=frames, signer_id="x",
+                                       handedness="right", duration_s=0.0)
     report = validate_sample(sample)
     assert any(f.rule == "non-finite" for f in report.findings)
 
@@ -95,18 +112,19 @@ def test_non_finite_rotation_finding():
 def test_duration_mismatch_and_empty_frames():
     sample = dataclasses.replace(make_sample(n_frames=4), duration_s=99.0)
     assert any(f.rule == "duration-mismatch" for f in validate_sample(sample).findings)
-    empty = dataclasses.replace(make_sample(n_frames=1), frames=())
+    empty = with_frames(make_sample(n_frames=1), ())
     assert any(f.rule == "empty-frames" for f in validate_sample(empty).findings)
 
 
 def test_validation_never_raises_on_garbage_shapes():
+    # Garbage shapes cannot be stored: construction refuses them with
+    # InvalidSample, and nothing else escapes.
     weird = HandFrame(locations=np.zeros((2, 7)), rotations=np.zeros(4),
                       hand_rotation=np.zeros((5, 5)))
     frames = (JointFrame(timestamp_s=0.0, left=weird, right=weird),)
-    sample = GestureSample(label=gesture.CUP, frames=frames, signer_id="x",
-                           handedness="right", duration_s=0.0)
-    report = validate_sample(sample)  # must not raise
-    assert not report.ok
+    with pytest.raises(InvalidSample, match=r"joint-count: frame 0 left\.locations"):
+        GestureSample.from_frames(label=gesture.CUP, frames=frames, signer_id="x",
+                                  handedness="right", duration_s=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +151,8 @@ def test_encode_rotation_scaling_is_exact():
                      rotations=np.zeros((NUM_JOINTS, 3)),
                      hand_rotation=np.array([90.0, 0.0, 0.0]))
     frames = (JointFrame(timestamp_s=0.0, left=make_hand(), right=hand),)
-    sample = GestureSample(label=gesture.TEA, frames=frames, signer_id="x",
-                           handedness="right", duration_s=0.0)
+    sample = GestureSample.from_frames(label=gesture.TEA, frames=frames, signer_id="x",
+                                       handedness="right", duration_s=0.0)
     m = encode_features(sample)
     # right hand block starts at 153; hand_rotation is its last 3 columns
     assert m.values[0, 153 + 150] == 0.5
@@ -184,6 +202,56 @@ def test_encoded_rotations_lie_in_unit_interval(n_frames, seed):
         assert np.all(rot >= -1.0) and np.all(rot <= 1.0)
         hand_rot = m.values[:, hand_start + 150:hand_start + 153]
         assert np.all(np.abs(hand_rot) <= 1.0)
+
+
+def reference_encode(sample: GestureSample, presence_flags: bool) -> np.ndarray:
+    """Per-frame encoder written from the module docstring's column layout."""
+    first = sample.frames[0]
+    wrists = [h.locations[0] for h in (first.left, first.right) if h.present]
+    center = np.mean(wrists, axis=0) if wrists else np.zeros(3)
+    rows = []
+    for frame in sample.frames:
+        row = []
+        for hand in (frame.left, frame.right):
+            if not hand.present:
+                row.extend([0.0] * (NUM_JOINTS * 6 + 3))
+                continue
+            for j in range(NUM_JOINTS):
+                row.extend((hand.locations[j] - center) / LOCATION_SCALE_M)
+                row.extend(hand.rotations[j] / ROTATION_SCALE_DEG)
+            row.extend(hand.hand_rotation / ROTATION_SCALE_DEG)
+        if presence_flags:
+            row.extend([float(frame.left.present), float(frame.right.present)])
+        rows.append(row)
+    return np.array(rows)
+
+
+def drawn_sample(n_frames: int, seed: int, one_handed: bool, mirrored: bool) -> GestureSample:
+    sample = random_sample(np.random.default_rng(seed), n_frames=n_frames,
+                           one_handed=one_handed)
+    return mirror_handedness(sample) if mirrored else sample
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 ** 31),
+       st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_encode_matches_per_frame_reference(n_frames, seed, one_handed, mirrored,
+                                            presence_flags):
+    sample = drawn_sample(n_frames, seed, one_handed, mirrored)
+    m = encode_features(sample, EncodingConfig(presence_flags=presence_flags))
+    assert np.array_equal(m.values, reference_encode(sample, presence_flags))
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 ** 31),
+       st.booleans(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_from_frames_round_trips_the_frames_view(n_frames, seed, one_handed, mirrored):
+    s = drawn_sample(n_frames, seed, one_handed, mirrored)
+    frames = s.frames
+    assert len(frames) == n_frames
+    assert not frames[0].right.locations.flags.writeable
+    assert GestureSample.from_frames(s.label, frames, s.signer_id, s.handedness,
+                                     s.duration_s) == s
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +337,8 @@ def test_mirror_reverses_circle_direction():
         right = HandFrame(locations=loc, rotations=hand.rotations,
                           hand_rotation=hand.hand_rotation)
         frames.append(JointFrame(timestamp_s=i / 60.0, left=make_hand(), right=right))
-    sample = GestureSample(label=gesture.COFFEE, frames=tuple(frames), signer_id="x",
-                           handedness="right", duration_s=frames[-1].timestamp_s)
+    sample = GestureSample.from_frames(label=gesture.COFFEE, frames=frames, signer_id="x",
+                                       handedness="right", duration_s=frames[-1].timestamp_s)
 
     def signed_area_xz(pts):
         x, z = pts[:, 0], pts[:, 2]
