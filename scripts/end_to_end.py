@@ -39,7 +39,7 @@ def main():
                              repetitions_per_class=4, duration_s=1.5,
                              master_seed=args.seed)
     ds = synth.generate_dataset(spec)
-    write_dataset(ds, workdir / "dataset.jsonl")
+    write_dataset(ds, workdir / "dataset.ds")
     print(f"generated {len(ds.samples)} samples")
 
     cfg = netmod.NetConfig(t_max=160, scale_factor=Fraction(1, 32), dtype="float32",

@@ -1,6 +1,6 @@
 """Binary checkpoint files.
 
-Layout (all integers little-endian):
+The file is one ``framing`` frame (all integers little-endian):
 
     bytes  0..12   magic "ASLCHAMP-CKPT"
     u32            format version (2)
@@ -25,13 +25,11 @@ so predictions after load are identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import struct
 
 import numpy as np
 
+from .framing import FrameReader, write_frame
 from .net import ChampNet, NetConfig, TrainState, _param_shapes
 from .nn_ops import AdamState
 
@@ -49,10 +47,6 @@ class VersionMismatch(CheckpointError):
 
 class ChecksumMismatch(CheckpointError):
     pass
-
-
-def _payload_checksum(payload: bytes) -> bytes:
-    return hashlib.sha256(payload).digest()[:8]
 
 
 def _le_dtype(dtype: str) -> np.dtype:
@@ -83,52 +77,22 @@ def save_checkpoint(net: ChampNet, path: str | os.PathLike,
             "epsilon": train_state.adam.epsilon,
         },
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(arr).astype(le).tobytes() for _, arr in arrays)
-
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
-        fh.write(_payload_checksum(payload))
-
-
-def _read_exact(data: bytes, offset: int, size: int, what: str) -> bytes:
-    if offset + size > len(data):
-        raise ChecksumMismatch(f"truncated checkpoint: missing {what}")
-    return data[offset:offset + size]
+        write_frame(fh, MAGIC, FORMAT_VERSION, header,
+                    (np.ascontiguousarray(arr, dtype=le) for _, arr in arrays))
 
 
 def load_checkpoint_full(path: str | os.PathLike):
     """Returns (ChampNet, TrainState | None)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-
-    magic = _read_exact(data, 0, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise VersionMismatch(f"not a checkpoint file (magic {magic!r})")
-    version, header_len = struct.unpack("<II", _read_exact(data, len(MAGIC), 8, "version"))
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported checkpoint version {version}")
-    offset = len(MAGIC) + 8
-    header_bytes = _read_exact(data, offset, header_len, "header")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ChecksumMismatch(f"corrupt header: {e}") from e
-    offset += header_len
-
-    le = _le_dtype(header["dtype"])
-    sizes = [int(np.prod(entry["shape"])) if entry["shape"] else 1
-             for entry in header["arrays"]]
-    payload_len = sum(sizes) * le.itemsize
-    payload = _read_exact(data, offset, payload_len, "payload")
-    tail = _read_exact(data, offset + payload_len, 8, "checksum")
-    if len(data) != offset + payload_len + 8:
-        raise ChecksumMismatch("trailing bytes after checksum")
-    if _payload_checksum(payload) != tail:
-        raise ChecksumMismatch("payload checksum mismatch")
+        frame = FrameReader(fh, MAGIC, FORMAT_VERSION,
+                            wrong_kind=VersionMismatch, corrupt=ChecksumMismatch)
+        header = frame.header
+        le = _le_dtype(header["dtype"])
+        dims = [tuple(entry["shape"]) for entry in header["arrays"]]
+        frame.expect_payload(sum(int(np.prod(shape)) for shape in dims) * le.itemsize)
+        raw = [frame.read_array(shape, le) for shape in dims]
+        frame.verify()
 
     cfg = NetConfig.from_obj(header["config"])
     if cfg.dtype != header["dtype"]:
@@ -140,12 +104,8 @@ def load_checkpoint_full(path: str | os.PathLike):
                      for name, shape in shapes.items()]
     if sorted(expected) != sorted((e["name"], e["shape"]) for e in header["arrays"]):
         raise VersionMismatch("array manifest disagrees with the network config")
-    arrays: dict[str, np.ndarray] = {}
-    pos = 0
-    for entry, size in zip(header["arrays"], sizes):
-        raw = np.frombuffer(payload, dtype=le, count=size, offset=pos * le.itemsize)
-        arrays[entry["name"]] = raw.astype(cfg.np_dtype).reshape(entry["shape"]).copy()
-        pos += size
+    arrays = {entry["name"]: arr.astype(cfg.np_dtype, copy=False)
+              for entry, arr in zip(header["arrays"], raw)}
 
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
     net = ChampNet(config=cfg, params=params, seed=int(header["seed"]))

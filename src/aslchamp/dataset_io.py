@@ -1,28 +1,34 @@
-"""Line-delimited dataset files.
+"""Binary columnar dataset files.
 
-One UTF-8 line per sample, each a self-describing JSON record; the first line
-is a header carrying the magic string and schema version:
+A dataset file is one ``framing`` frame (all integers little-endian):
 
-    {"magic": "ASLCHAMP-DS", "schema_version": 1, "provenance": "..."}
-    {"label": "COFFEE", "signer_id": "s00", "handedness": "right",
-     "duration_s": 3.0, "frames": [{"t": 0.0, "left": {...}, "right": {...}}]}
+    bytes  0..10   magic "ASLCHAMP-DS"
+    u32            format version (2)
+    u32            header length in bytes
+    header         UTF-8 JSON: {"schema_version": 1, "provenance": "...",
+                   "samples": [{"label": "COFFEE", "signer_id": "s00",
+                   "handedness": "right", "duration_s": 3.0, "T": 217}, ...]}
+    payload        per sample, in header order, its five arrays back to back:
+                   timestamps (T,) f8, locations (T, 2, 25, 3) f8,
+                   rotations (T, 2, 25, 3) f8, hand_rotation (T, 2, 3) f8,
+                   present (T, 2) u8 (0 or 1) -- 2458 bytes per frame
+    u64 tail       first 8 bytes of SHA-256 over the payload
 
-Hand records hold "present" (a JSON boolean), "loc" (25x3), "rot" (25x3) and
-"hand_rot" (3).  Floats are written with Python's shortest round-trip
-representation, so a read-back dataset is numerically identical to what was
-written.  Each of a sample's five arrays is converted whole: one ``tolist()``
-when writing and one ``np.array`` when reading.
+Floats are little-endian IEEE doubles, so a read-back dataset is bit-identical
+to what was written; ``schema_version`` is the dataset's own field, carried
+through unchanged.  The file suffix does not matter.  Version 1 files (JSON
+lines) are refused with a message to regenerate them with ``gen-data``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from itertools import repeat
 
 import numpy as np
 
+from .framing import FrameReader, write_frame
 from .gesture import (
+    NUM_JOINTS,
     GestureDataset,
     GestureSample,
     sign_class,
@@ -30,8 +36,18 @@ from .gesture import (
     validate_sample,
 )
 
-MAGIC = "ASLCHAMP-DS"
-SCHEMA_VERSION = 1
+MAGIC = b"ASLCHAMP-DS"
+FORMAT_VERSION = 2
+
+# Each sample array, in payload order: name, on-disk dtype, shape of one frame.
+_COLUMNS: tuple[tuple[str, np.dtype, tuple[int, ...]], ...] = (
+    ("timestamps", np.dtype("<f8"), ()),
+    ("locations", np.dtype("<f8"), (2, NUM_JOINTS, 3)),
+    ("rotations", np.dtype("<f8"), (2, NUM_JOINTS, 3)),
+    ("hand_rotation", np.dtype("<f8"), (2, 3)),
+    ("present", np.dtype("u1"), (2,)),
+)
+FRAME_BYTES = sum(dtype.itemsize * int(np.prod(shape)) for _, dtype, shape in _COLUMNS)
 
 
 class FormatError(Exception):
@@ -42,115 +58,90 @@ class SchemaError(Exception):
     """File parsed, but a record violates the sample schema."""
 
 
-_FRAME_KEYS = ("t", "left", "right")
-_HAND_KEYS = ("present", "loc", "rot", "hand_rot")
-
-
-def _records(keys: tuple[str, ...], *columns: list) -> list[dict]:
-    """One dict per row of the equal-length ``columns``, keyed by ``keys`` in order."""
-    return list(map(dict, map(zip, repeat(keys), zip(*columns))))
-
-
-def _sample_to_line(sample: GestureSample) -> str:
-    # Hand axis first, so each column's tolist() splits into left and right.
-    by_side = zip(sample.present.T.tolist(),
-                  *(np.swapaxes(getattr(sample, name), 0, 1).tolist()
-                    for name in ("locations", "rotations", "hand_rotation")))
-    left, right = (_records(_HAND_KEYS, *columns) for columns in by_side)
-    obj = {
-        "label": sample.label.name,
-        "signer_id": sample.signer_id,
-        "handedness": sample.handedness,
-        "duration_s": sample.duration_s,
-        "frames": _records(_FRAME_KEYS, sample.timestamps.tolist(), left, right),
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _sample_from_obj(obj, line_no: int) -> GestureSample:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"line {line_no}: record is not a JSON object")
-    try:
-        label = sign_class(obj["label"])
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"line {line_no}: {e}") from e
-    try:
-        frames = obj["frames"]
-        hands = [(f["left"], f["right"]) for f in frames]
-
-        def column(key, dtype=np.float64):
-            return np.array([[h[key] for h in pair] for pair in hands], dtype=dtype)
-
-        present = column("present", dtype=None)
-        if present.size and present.dtype != np.bool_:
-            raise SchemaError(f"line {line_no}: bad sample record: "
-                              f"'present' must be a JSON boolean")
-        sample = GestureSample(
-            label=label,
-            timestamps=np.array([f["t"] for f in frames], dtype=np.float64),
-            locations=column("loc"),
-            rotations=column("rot"),
-            hand_rotation=column("hand_rot"),
-            present=present,
-            signer_id=str(obj["signer_id"]),
-            handedness=str(obj["handedness"]),
-            duration_s=float(obj["duration_s"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"line {line_no}: bad sample record: {e}") from e
-    report = validate_sample(sample)
-    if not report.ok:
-        raise SchemaError(f"line {line_no}: sample fails validation: "
-                          f"{report.findings[0].rule} at frame {report.findings[0].frame}")
-    return sample
-
-
 def write_dataset(ds: GestureDataset, path: str | os.PathLike) -> None:
     """Write a validated dataset; round-trips bit-exactly through read_dataset."""
     report = validate_dataset(ds)
     if not report.ok:
         f = report.findings[0]
         raise SchemaError(f"dataset fails validation: {f.rule} on {f.field}")
-    header = {"magic": MAGIC, "schema_version": ds.schema_version, "provenance": ds.provenance}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for sample in ds.samples:
-            fh.write(_sample_to_line(sample) + "\n")
+    header = {
+        "schema_version": ds.schema_version,
+        "provenance": ds.provenance,
+        "samples": [{"label": s.label.name, "signer_id": s.signer_id,
+                     "handedness": s.handedness, "duration_s": s.duration_s,
+                     "T": s.timestamps.size} for s in ds.samples],
+    }
+    arrays = (np.ascontiguousarray(getattr(s, name), dtype=dtype)
+              for s in ds.samples for name, dtype, _ in _COLUMNS)
+    with open(path, "wb") as fh:
+        write_frame(fh, MAGIC, FORMAT_VERSION, header, arrays)
 
 
-def parse_json_line(line: bytes, what: str):
-    """Parse one UTF-8 JSON line; a broken one raises FormatError naming ``what``."""
+def _frame_counts(header: dict) -> list[int]:
+    """Each sample's T, after checking the dataset-level header fields; a
+    malformed field raises FormatError."""
+    if type(header.get("schema_version")) is not int:
+        raise FormatError("header: schema_version must be an integer")
+    if not isinstance(header.get("provenance"), str):
+        raise FormatError("header: provenance must be a string")
+    entries = header.get("samples")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise FormatError("header: samples must be a list of objects")
+    counts = [e.get("T") for e in entries]
+    for i, t in enumerate(counts):
+        if type(t) is not int or t < 0:
+            raise FormatError(f"sample {i}: T must be a non-negative integer, got {t!r}")
+    return counts
+
+
+def _sample(entry: dict, columns: dict[str, np.ndarray], i: int) -> GestureSample:
+    """Build and validate one sample from its header entry and arrays."""
     try:
-        return json.loads(line.decode("utf-8"))
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise FormatError(f"{what}: {e}") from e
+        label = sign_class(entry["label"])
+        signer_id, handedness, duration_s = (entry["signer_id"], entry["handedness"],
+                                             entry["duration_s"])
+    except (KeyError, TypeError) as e:
+        raise SchemaError(f"sample {i}: bad sample record: {e}") from e
+    if not isinstance(signer_id, str) or not isinstance(handedness, str):
+        raise SchemaError(f"sample {i}: signer_id and handedness must be strings")
+    if isinstance(duration_s, bool) or not isinstance(duration_s, (int, float)):
+        raise SchemaError(f"sample {i}: duration_s must be a JSON number, "
+                          f"got {duration_s!r}")
+    try:
+        duration_s = float(duration_s)
+    except OverflowError as e:  # an integer beyond the float range
+        raise SchemaError(f"sample {i}: duration_s out of range") from e
+    if (columns["present"] > 1).any():
+        raise SchemaError(f"sample {i}: 'present' bytes must be 0 or 1")
+    sample = GestureSample(label=label, signer_id=signer_id, handedness=handedness,
+                           duration_s=duration_s, **columns)
+    report = validate_sample(sample)
+    if not report.ok:
+        raise SchemaError(f"sample {i}: sample fails validation: "
+                          f"{report.findings[0].rule} at frame {report.findings[0].frame}")
+    return sample
 
 
 def read_dataset(path: str | os.PathLike) -> GestureDataset:
     """Read a dataset file.
 
-    Raises FormatError when the file is not a dataset file or a line is not
-    JSON, and SchemaError when a record is not a valid sample.
+    Raises FormatError when the file is not a version 2 dataset file or its
+    frame is broken (truncated, malformed header, length or checksum
+    mismatch), and SchemaError when a sample is not a valid sample.
     """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise FormatError("empty file")
-        header = parse_json_line(header_line, "bad header")
-        if not isinstance(header, dict) or header.get("magic") != MAGIC:
-            raise FormatError(f"bad magic: expected {MAGIC!r}")
-        version = header.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise FormatError(f"unsupported schema_version {version!r}")
-
-        samples = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            obj = parse_json_line(line, f"line {line_no}: bad record")
-            samples.append(_sample_from_obj(obj, line_no))
-    return GestureDataset(
-        samples=tuple(samples),
-        schema_version=version,
-        provenance=str(header.get("provenance", "")),
-    )
+        if fh.peek(1)[:1] == b"{":
+            raise FormatError("a version 1 (JSON lines) dataset file is no longer "
+                              "read; regenerate it with gen-data")
+        frame = FrameReader(fh, MAGIC, FORMAT_VERSION, wrong_kind=FormatError,
+                            corrupt=FormatError)
+        header = frame.header
+        counts = _frame_counts(header)
+        frame.expect_payload(sum(counts) * FRAME_BYTES)
+        columns = [{name: frame.read_array((t,) + shape, dtype)
+                    for name, dtype, shape in _COLUMNS} for t in counts]
+        frame.verify()
+    samples = tuple(_sample(entry, cols, i)
+                    for i, (entry, cols) in enumerate(zip(header["samples"], columns)))
+    return GestureDataset(samples=samples, schema_version=header["schema_version"],
+                          provenance=header["provenance"])

@@ -648,7 +648,7 @@ def _template_from_obj(obj: dict) -> SignTemplate:
     try:
         sc = gesture.sign_class(name)
     except KeyError:
-        sc = register_control_class(name)
+        sc = SignClass(code=-1, name=name)  # registered by the caller once valid
     return SignTemplate(
         sign=sc,
         dominant_path=PathSpec.from_obj(obj["dominant_path"]),
@@ -669,7 +669,13 @@ def load_template_library(path: str | os.PathLike) -> dict[str, SignTemplate]:
     template record (broken JSON, missing or mistyped fields), and
     InvalidTemplate when a well-formed record describes an impossible template.
     """
-    from .dataset_io import FormatError, parse_json_line
+    from .dataset_io import FormatError
+
+    def parse_json_line(line: bytes, what: str):
+        try:
+            return json.loads(line.decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"{what}: {e}") from e
 
     with open(path, "rb") as fh:
         header = parse_json_line(fh.readline(), "bad template header")
@@ -689,5 +695,7 @@ def load_template_library(path: str | os.PathLike) -> dict[str, SignTemplate]:
                 raise
             except (KeyError, TypeError, ValueError) as e:
                 raise FormatError(f"line {line_no}: bad template record: {e}") from e
+            if tpl.sign.code < 0:  # a new control class, registered only once valid
+                tpl = replace(tpl, sign=register_control_class(tpl.sign.name))
             out[tpl.sign.name] = tpl
     return out

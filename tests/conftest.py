@@ -6,6 +6,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,3 +60,46 @@ def random_sample(rng, n_frames: int = 6, one_handed: bool = False,
         label=label, frames=frames, signer_id=signer_id,
         handedness="right", duration_s=frames[-1].timestamp_s,
     )
+
+
+# The payload layout of a dataset file (version 2), spelled out here rather
+# than imported, so that the tests check the documented layout.
+DATASET_COLUMNS = (("timestamps", "<f8", ()),
+                   ("locations", "<f8", (2, gesture.NUM_JOINTS, 3)),
+                   ("rotations", "<f8", (2, gesture.NUM_JOINTS, 3)),
+                   ("hand_rotation", "<f8", (2, 3)),
+                   ("present", "u1", (2,)))
+DATASET_MAGIC = b"ASLCHAMP-DS"
+
+
+def rewrite_dataset(path, edit):
+    """Decode the dataset file at ``path``, call ``edit(header, samples)`` to
+    change it in place, and frame it again with a correct checksum.
+
+    ``header`` is the parsed JSON header; ``samples`` has one dict of writable
+    arrays per sample, keyed by array name.  The header's T values are left
+    as the edit leaves them, so an edit can also make them disagree with the
+    arrays.  Because the checksum is recomputed, the reader's checks behind
+    it are the ones that see the edit.
+    """
+    raw = path.read_bytes()
+    start = len(DATASET_MAGIC) + 8
+    version, header_len = struct.unpack_from("<II", raw, len(DATASET_MAGIC))
+    header = json.loads(raw[start:start + header_len])
+    payload = raw[start + header_len:-8]
+    samples, pos = [], 0
+    for entry in header["samples"]:
+        sample = {}
+        for name, dtype, shape in DATASET_COLUMNS:
+            full = (entry["T"],) + shape
+            count = int(np.prod(full))
+            sample[name] = np.frombuffer(payload, dtype, count, pos).reshape(full).copy()
+            pos += sample[name].nbytes
+        samples.append(sample)
+    assert pos == len(payload)
+    edit(header, samples)
+    header_bytes = json.dumps(header).encode()
+    payload = b"".join(np.ascontiguousarray(s[name], dtype=dtype).tobytes()
+                       for s in samples for name, dtype, _ in DATASET_COLUMNS)
+    path.write_bytes(DATASET_MAGIC + struct.pack("<II", version, len(header_bytes))
+                     + header_bytes + payload + hashlib.sha256(payload).digest()[:8])

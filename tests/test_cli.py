@@ -1,10 +1,15 @@
 """End-to-end CLI runs with miniature datasets and networks."""
 
 import json
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from aslchamp.dataset_io import read_dataset
+from conftest import rewrite_dataset
 
 GEN_MINI = ["gen-data", "--classes", "COFFEE", "TEA", "MILK",
             "--signers", "4", "--reps", "2", "--duration", "1.5"]
@@ -36,9 +41,8 @@ def workspace(tmp_path_factory):
 
 
 def test_gen_data_writes_file_and_summary(workspace):
-    out = workspace["data"].read_text().splitlines()
-    assert len(out) == 1 + 3 * 4 * 2  # header + samples
-    assert "ASLCHAMP-DS" in out[0]
+    assert workspace["data"].read_bytes().startswith(b"ASLCHAMP-DS")
+    assert len(read_dataset(workspace["data"]).samples) == 3 * 4 * 2
 
 
 def test_gen_data_summary_counts(tmp_path):
@@ -145,12 +149,23 @@ def test_recognize_verbose_distribution_sums_to_one(workspace, tmp_path):
 
 def test_recognize_corrupt_sample_is_data_error(workspace, tmp_path):
     bad = tmp_path / "bad.jsonl"
-    text = workspace["data"].read_text().splitlines()
-    record = json.loads(text[1])
-    record["frames"][0]["right"]["loc"] = record["frames"][0]["right"]["loc"][:10]
-    bad.write_text(text[0] + "\n" + json.dumps(record) + "\n")
+    shutil.copy(workspace["data"], bad)
+
+    def nan_in_present_hands(header, samples):
+        samples[0]["locations"][samples[0]["present"].astype(bool)] = np.nan
+
+    rewrite_dataset(bad, nan_in_present_hands)
     r = run_cli("recognize", "--ckpt", workspace["ckpt"], "--sample", bad)
     assert r.returncode == 4
+    assert "non-finite" in r.stderr
+
+
+def test_recognize_version_1_file_is_data_error(workspace, tmp_path):
+    old = tmp_path / "old.jsonl"
+    old.write_text('{"magic":"ASLCHAMP-DS","schema_version":1,"provenance":""}\n')
+    r = run_cli("recognize", "--ckpt", workspace["ckpt"], "--sample", old)
+    assert r.returncode == 4
+    assert "gen-data" in r.stderr
 
 
 # Every sign a simulated learner produces in a MILK/TEA/COFFEE lesson: the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,16 +15,16 @@ from aslchamp.dataset_io import (
 )
 from aslchamp.gesture import GestureDataset
 
-from conftest import make_sample, random_sample
+from conftest import make_sample, random_sample, rewrite_dataset
 
 
 def test_empty_dataset_round_trip(tmp_path):
     ds = GestureDataset(samples=(), schema_version=1, provenance="empty")
-    path = tmp_path / "empty.jsonl"
+    path = tmp_path / "empty.ds"
     write_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1  # header only
-    assert json.loads(lines[0])["magic"] == MAGIC
+    data = path.read_bytes()
+    assert data.startswith(MAGIC)
+    assert data.endswith(hashlib.sha256(b"").digest()[:8])  # header only, empty payload
     back = read_dataset(path)
     assert back == ds
 
@@ -75,26 +76,67 @@ def test_corrupted_magic_raises_format_error(tmp_path):
     ds = GestureDataset(samples=(make_sample(),))
     path = tmp_path / "ds.jsonl"
     write_dataset(ds, path)
-    text = path.read_text().replace(MAGIC, "ASLWRONG-XX")
-    path.write_text(text)
-    with pytest.raises(FormatError):
+    path.write_bytes(path.read_bytes().replace(MAGIC, b"ASLWRONG-XX"))
+    with pytest.raises(FormatError, match="magic"):
         read_dataset(path)
 
 
 def test_bad_json_line_raises_format_error(tmp_path):
-    ds = GestureDataset(samples=(make_sample(),))
     path = tmp_path / "ds.jsonl"
-    write_dataset(ds, path)
-    with open(path, "a") as fh:
-        fh.write("{not json\n")
-    with pytest.raises(FormatError):
+    write_dataset(GestureDataset(samples=(make_sample(),)), path)
+    data = path.read_bytes()
+    path.write_bytes(data + b"{not json\n")  # bytes after the checksum
+    with pytest.raises(FormatError, match="payload"):
+        read_dataset(path)
+    broken = bytearray(data)
+    broken[len(MAGIC) + 8] = ord("x")  # the header's opening brace
+    path.write_bytes(bytes(broken))
+    with pytest.raises(FormatError, match="header"):
         read_dataset(path)
 
 
 def test_unsupported_schema_version(tmp_path):
     path = tmp_path / "ds.jsonl"
-    path.write_text(json.dumps({"magic": MAGIC, "schema_version": 99}) + "\n")
-    with pytest.raises(FormatError):
+    write_dataset(GestureDataset(samples=(make_sample(),)), path)
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC)] = 99  # the u32 format version follows the magic
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="version 99"):
+        read_dataset(path)
+
+
+def test_version_1_file_asks_to_regenerate(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    path.write_text(json.dumps({"magic": "ASLCHAMP-DS", "schema_version": 1}) + "\n")
+    with pytest.raises(FormatError, match="gen-data"):
+        read_dataset(path)
+
+
+def _edit_entry(**fields):
+    return lambda header, samples: header["samples"][0].update(fields)
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (_edit_entry(duration_s="0.0556"), SchemaError, "duration_s"),
+    (_edit_entry(duration_s=True), SchemaError, "duration_s"),
+    (_edit_entry(duration_s=10 ** 400), SchemaError, "duration_s"),
+    (_edit_entry(signer_id=7), SchemaError, "signer_id"),
+    (_edit_entry(T=-1), FormatError, "T must be"),
+    (_edit_entry(T=5.0), FormatError, "T must be"),
+    (_edit_entry(T="5"), FormatError, "T must be"),
+    (_edit_entry(T=True), FormatError, "T must be"),
+    (_edit_entry(T=4), FormatError, "payload"),
+    (lambda header, samples: header.update(schema_version="1"), FormatError,
+     "schema_version"),
+    (lambda header, samples: header.update(samples=[1]), FormatError, "samples"),
+], ids=["duration-string", "duration-bool", "duration-huge", "signer-number",
+        "T-negative", "T-float", "T-string", "T-bool", "T-disagrees-with-payload",
+        "schema-version-string", "entry-not-object"])
+def test_mistyped_header_field_raises_documented_error(tmp_path, edit, error, match):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(GestureDataset(samples=(make_sample(n_frames=5),)), path)
+    rewrite_dataset(path, edit)
+    with pytest.raises(error, match=match):
         read_dataset(path)
 
 
@@ -106,33 +148,30 @@ def test_empty_file_raises_format_error(tmp_path):
 
 
 def test_invalid_sample_on_read_raises_schema_error(tmp_path):
-    ds = GestureDataset(samples=(make_sample(n_frames=2),))
     path = tmp_path / "ds.jsonl"
-    write_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    record["frames"][0]["right"]["loc"] = record["frames"][0]["right"]["loc"][:24]
-    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(SchemaError):
-        read_dataset(path)
+
+    def nan_in_present_hand(header, samples):
+        samples[0]["locations"][0, 1, 3, 0] = np.nan
+
+    def decreasing_time(header, samples):
+        samples[0]["timestamps"][1] = -1.0
+
+    for edit, rule in ((nan_in_present_hand, "non-finite"), (decreasing_time, "monotonic")):
+        write_dataset(GestureDataset(samples=(make_sample(n_frames=2),)), path)
+        rewrite_dataset(path, edit)
+        with pytest.raises(SchemaError, match=rule):
+            read_dataset(path)
 
 
-def _rewrite_record(path, edit):
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    edit(record)
-    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
-
-
-@pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None])
-def test_presence_flag_must_be_json_boolean(tmp_path, value):
+@pytest.mark.parametrize("value", [2, 3, 127, 128, 254, 255])
+def test_presence_byte_must_be_0_or_1(tmp_path, value):
     path = tmp_path / "ds.jsonl"
     write_dataset(GestureDataset(samples=(make_sample(n_frames=2),)), path)
 
-    def edit(record):
-        record["frames"][1]["left"]["present"] = value
+    def edit(header, samples):
+        samples[0]["present"][1, 0] = value
 
-    _rewrite_record(path, edit)
+    rewrite_dataset(path, edit)
     with pytest.raises(SchemaError, match="present"):
         read_dataset(path)
 
@@ -140,7 +179,12 @@ def test_presence_flag_must_be_json_boolean(tmp_path, value):
 def test_empty_frames_on_read_raises_schema_error(tmp_path):
     path = tmp_path / "ds.jsonl"
     write_dataset(GestureDataset(samples=(make_sample(n_frames=2),)), path)
-    _rewrite_record(path, lambda record: record.update(frames=[]))
+
+    def edit(header, samples):
+        header["samples"][0]["T"] = 0
+        samples[0] = {name: arr[:0] for name, arr in samples[0].items()}
+
+    rewrite_dataset(path, edit)
     with pytest.raises(SchemaError, match="empty-frames"):
         read_dataset(path)
 
@@ -173,11 +217,8 @@ def test_unknown_label_raises_schema_error(tmp_path):
     ds = GestureDataset(samples=(make_sample(),))
     path = tmp_path / "ds.jsonl"
     write_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    record["label"] = "NO_SUCH_SIGN"
-    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(SchemaError):
+    rewrite_dataset(path, _edit_entry(label="NO_SUCH_SIGN"))
+    with pytest.raises(SchemaError, match="NO_SUCH_SIGN"):
         read_dataset(path)
 
 

@@ -344,6 +344,20 @@ def test_template_library_broken_line_is_format_error_with_line_number(tmp_path,
         load_template_library(path)
 
 
+def test_refused_template_record_leaves_no_class_registered(tmp_path):
+    path = tmp_path / "templates.jsonl"
+    save_template_library(default_templates(), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record.update(sign="BOGUS", dominant_pose_keys=[])
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(synth.InvalidTemplate):
+        load_template_library(path)
+    with pytest.raises(KeyError):
+        gesture.sign_class("BOGUS")
+
+
 def test_template_library_truncated_or_bit_flipped_raises_only_documented_errors(tmp_path):
     from aslchamp.dataset_io import FormatError
     path = tmp_path / "templates.jsonl"
