@@ -166,9 +166,13 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(path):
-    from .dataset_io import read_dataset
-    return read_dataset(path)
+def _load_dataset(path, what: str = "dataset file"):
+    """Read a dataset file; an unreadable or invalid one is a data error (exit 4)."""
+    from .dataset_io import FormatError, SchemaError, read_dataset
+    try:
+        return read_dataset(path)
+    except (FormatError, SchemaError) as e:
+        raise DataError(f"invalid {what}: {type(e).__name__}: {e}")
 
 
 def cmd_train(args) -> int:
@@ -279,15 +283,11 @@ def cmd_eval(args) -> int:
 
 def cmd_recognize(args) -> int:
     from .checkpoint import load_checkpoint
-    from .dataset_io import FormatError, SchemaError, read_dataset
     from .gesture import InvalidSample
     from .net import predict
 
     network = load_checkpoint(args.ckpt)
-    try:
-        ds = read_dataset(args.sample)
-    except (FormatError, SchemaError) as e:
-        raise DataError(f"invalid sample file: {e}")
+    ds = _load_dataset(args.sample, "sample file")
     if not ds.samples:
         raise DataError("sample file contains no samples")
     for sample in ds.samples:

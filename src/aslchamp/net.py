@@ -11,6 +11,12 @@ the layout its kernel uses: an LSTM layer is ``W_x (D, 4H)``, ``W_h (H, 4H)``,
 ``b_x (4H,)`` and ``b_h (4H,)`` with gate column blocks i, f, g, o.  All
 inference (``forward``, ``predict``, the validation pass, and
 ``evaluation.evaluate``) runs through ``infer``.
+
+The network's input is t_max rows long, but a batch may hold fewer: a
+(B, T, D) batch with T <= t_max stands for the batch zero-padded to t_max,
+rows T to t_max counting as zero.  ``EncodedDataset.batch`` trims each
+batch to its longest sample and ``predict`` passes a sample unpadded; the
+conv stages then skip the zero suffix, which changes no output bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .gesture import (
     GestureSample,
     SignClass,
     encode_features,
-    pad_or_truncate,
     sign_class,
 )
 from .nn_ops import (
@@ -303,31 +308,81 @@ def _coerce_batch(net: ChampNet, batch) -> np.ndarray:
     x = np.asarray(batch)
     if x.ndim == 2:
         x = x[None]
-    if x.ndim != 3 or x.shape[1:] != (cfg.t_max, cfg.feature_dim):
-        raise ShapeMismatch(f"batch shape {x.shape} != (B, {cfg.t_max}, {cfg.feature_dim})")
+    if x.ndim != 3 or not 1 <= x.shape[1] <= cfg.t_max or x.shape[2] != cfg.feature_dim:
+        raise ShapeMismatch(f"batch shape {x.shape} != (B, T <= {cfg.t_max}, {cfg.feature_dim})")
     return x.astype(cfg.np_dtype, copy=False)
+
+
+def _conv_stage(x: np.ndarray, fill, length: int, kernels: np.ndarray, bias: np.ndarray,
+                pool: int):
+    """One conv + tanh + pool stage over a sequence of ``length`` rows whose
+    first rows are ``x`` (B, n, D) and whose every later row is ``fill``.
+
+    A conv window wholly inside the ``fill`` rows outputs one constant row,
+    and so do the tanh and the pool after it; the pool's argmax there is the
+    window's first index.  So the stage computes the pooled rows that can
+    differ plus one constant row, extending ``x`` with ``fill`` only as far
+    as those rows read; each computed row equals the full-length stage's
+    row bit for bit.  Returns (x_ext, tanh_out, pooled, argmax); every pooled
+    row past the returned ones equals its last row.
+    """
+    b, n, d = x.shape
+    k = kernels.shape[1]
+    t_pool = conv1d_out_len(conv1d_out_len(length, k, 1), pool, pool)
+    stored = min(-(-n // pool) + 1, t_pool)
+    need = length if stored == t_pool else stored * pool + k - 1
+    if need > n:
+        x = np.concatenate([x, np.broadcast_to(fill, (b, need - n, d))], axis=1)
+    t = np.tanh(conv1d_forward(x, kernels, bias))
+    pooled, arg = maxpool1d_forward(t, pool, pool)
+    return x, t, pooled, arg
+
+
+def _repeat_last(x: np.ndarray, length: int) -> np.ndarray:
+    """``x`` (B, n, F) extended to ``length`` rows by repeating its last row."""
+    b, n, f = x.shape
+    if n == length:
+        return x
+    return np.concatenate([x, np.broadcast_to(x[:, -1:], (b, length - n, f))], axis=1)
+
+
+def _fold_tail(g: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` rows of ``g``, the last of them plus every later row.
+
+    The adjoint of ``_repeat_last`` (and of the ``fill`` extension in
+    ``_conv_stage``): rows that are copies of one row pass their summed
+    gradient back to it.
+    """
+    if g.shape[1] == n:
+        return g
+    out = g[:, :n].copy()
+    out[:, -1] += g[:, n:].sum(axis=1)
+    return out
 
 
 def _forward_full(net: ChampNet, x: np.ndarray, train: bool,
                   rng: np.random.Generator | None):
-    """Returns (logits, probs, cache).  The softmax is computed in float64."""
+    """Returns (logits, probs, cache).  The softmax is computed in float64.
+
+    ``x`` is (B, T, D) with T <= t_max; rows T to t_max count as zero.  The
+    conv stages skip that suffix (see ``_conv_stage``) and the LSTMs run
+    over every pooled row, so the result equals that of the zero-padded
+    (B, t_max, D) batch bit for bit.
+    """
     cfg = net.config
     p = net.params
     cache: dict[str, object] = {}
 
-    a1 = conv1d_forward(x, p["conv1/K"], p["conv1/b"])
-    t1 = np.tanh(a1)
-    pool1, arg1 = maxpool1d_forward(t1, cfg.pool, cfg.pool)
-    a2 = conv1d_forward(pool1, p["conv2/K"], p["conv2/b"])
-    t2 = np.tanh(a2)
-    pool2, arg2 = maxpool1d_forward(t2, cfg.pool, cfg.pool)
-    h1, lstm1_cache = lstm_sequence(pool2, _lstm(p, "lstm1"))
+    x1, t1, pool1, arg1 = _conv_stage(x, x.dtype.type(0), cfg.t_max,
+                                      p["conv1/K"], p["conv1/b"], cfg.pool)
+    x2, t2, pool2, arg2 = _conv_stage(pool1, pool1[:, -1:], cfg.pooled_len(1),
+                                      p["conv2/K"], p["conv2/b"], cfg.pool)
+    h1, lstm1_cache = lstm_sequence(_repeat_last(pool2, cfg.pooled_len(2)), _lstm(p, "lstm1"))
     h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"))
     flat = h2.reshape(h2.shape[0], -1)
 
-    cache.update(x=x, t1=t1, arg1=arg1, pool1=pool1, t2=t2, arg2=arg2,
-                 pool2_len=pool2.shape[1], lstm1=lstm1_cache, lstm2=lstm2_cache,
-                 h2_shape=h2.shape)
+    cache.update(x1=x1, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2,
+                 lstm1=lstm1_cache, lstm2=lstm2_cache, h2_shape=h2.shape)
 
     act = flat
     for i in range(1, 4):
@@ -343,6 +398,12 @@ def _forward_full(net: ChampNet, x: np.ndarray, train: bool,
 
 
 def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
+    """Parameter gradients of the batch ``_forward_full`` cached.
+
+    Rows a conv stage skipped are copies of its last stored rows, so their
+    gradients reach the stage summed into those rows (``_fold_tail``): the
+    same sums as the full-length pass, added in another order.
+    """
     cfg = net.config
     p = net.params
     grads: dict[str, np.ndarray] = {}
@@ -358,22 +419,25 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
         g, lstm_grads, _, _ = lstm_sequence_backward(cache[layer], _lstm(p, layer), g)
         grads.update((f"{layer}/{name}", val) for name, val in lstm_grads.items())
 
+    g = _fold_tail(g, cache["arg2"].shape[1])
     g = maxpool1d_backward(g, cache["arg2"], cache["t2"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t2"], g)
     g, grads["conv2/K"], grads["conv2/b"] = conv1d_backward(
-        cache["pool1"], p["conv2/K"], g)
+        cache["x2"], p["conv2/K"], g)
+    g = _fold_tail(g, cache["arg1"].shape[1])
     g = maxpool1d_backward(g, cache["arg1"], cache["t1"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t1"], g)
     _, grads["conv1/K"], grads["conv1/b"] = conv1d_backward(
-        cache["x"], p["conv1/K"], g, need_input_grad=False)
+        cache["x1"], p["conv1/K"], g, need_input_grad=False)
     return grads
 
 
 def infer(net: ChampNet, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Inference-mode class probabilities (float64), one row per sample, for
-    padded (B, t_max, D) batches taken one chunk at a time.  The one
-    inference path: ``forward``, ``predict``, validation and ``evaluate``
-    all end here.  Does not check for non-finite values (``forward`` does).
+    (B, T, D) batches (T <= t_max, rows T to t_max count as zero) taken one
+    chunk at a time.  The one inference path: ``forward``, ``predict``,
+    validation and ``evaluate`` all end here.  Does not check for non-finite
+    values (``forward`` does).
     """
     return np.concatenate([_forward_full(net, x, train=False, rng=None)[1] for x in chunks])
 
@@ -382,7 +446,9 @@ def forward(net: ChampNet, batch, mode: str = "infer",
             rng: np.random.Generator | None = None) -> np.ndarray:
     """Class probabilities, one row per sample; rows sum to 1 within 1e-9.
 
-    ``batch`` is a (B, t_max, D) or (t_max, D) array of padded features.
+    ``batch`` is a (B, T, D) or (T, D) array of features with 1 <= T <=
+    t_max; rows T to t_max count as zero, so a batch trimmed to its longest
+    sample gives the same probabilities as the batch zero-padded to t_max.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -416,17 +482,21 @@ class EncodedDataset:
         return len(self.features)
 
     def chunks(self, t_max: int, dtype, size: int = 256) -> Iterator[np.ndarray]:
-        """Every sample in order, padded, ``size`` samples per batch."""
+        """Every sample in order, as ``batch`` gives them, ``size`` per batch."""
         n = len(self)
         for start in range(0, n, size):
             yield self.batch(range(start, min(start + size, n)), t_max, dtype)
 
     def batch(self, indices, t_max: int, dtype) -> np.ndarray:
+        """The samples at ``indices`` as one (B, T, D) batch, T = min(t_max,
+        longest of them): shorter samples are zero-padded to T, longer ones
+        truncated, and the network counts rows T to t_max as zero."""
         d = self.features[0].shape[1]
-        out = np.zeros((len(indices), t_max, d), dtype=dtype)
+        t_batch = min(t_max, max((self.features[i].shape[0] for i in indices), default=t_max))
+        out = np.zeros((len(indices), t_batch, d), dtype=dtype)
         for row, idx in enumerate(indices):
             f = self.features[idx]
-            t = min(f.shape[0], t_max)
+            t = min(f.shape[0], t_batch)
             out[row, :t] = f[:t]
         return out
 
@@ -612,12 +682,12 @@ class Prediction(NamedTuple):
 
 
 def predict(net: ChampNet, sample: GestureSample) -> Prediction:
-    """Encode, pad, and classify one sample; argmax ties go to the lowest
-    class code (numpy argmax picks the first maximum and cfg.classes is
-    ordered)."""
+    """Encode, truncate to t_max, and classify one sample; argmax ties go
+    to the lowest class code (numpy argmax picks the first maximum and
+    cfg.classes is ordered)."""
     cfg = net.config
     m = encode_features(sample, cfg.encoding())
-    probs = forward(net, pad_or_truncate(m, cfg.t_max).values)[0]
+    probs = forward(net, m.values[:cfg.t_max])[0]
     idx = int(np.argmax(probs))
     return Prediction(label=sign_class(cfg.classes[idx]),
                       confidence=float(probs[idx]),

@@ -6,8 +6,11 @@ are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Time-major layouts: a single sequence is (T, D) and a
 batch is (B, T, D).  Ops accept either and preserve which one they were given.
 LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
-layer, so each step is one gate GEMM per operand; ``lstm_cell`` and
-``lstm_sequence`` share the single step implementation ``_lstm_step``.
+layer.  ``lstm_sequence`` projects the whole input through W_x in one
+(B*T, D) x (D, 4H) GEMM before the time loop, so each step does one gate
+GEMM, h W_h; its backward pass forms the input gradient in one GEMM after
+the loop.  ``lstm_cell`` and ``lstm_sequence`` share the single step
+implementation ``_lstm_step``.
 """
 
 from __future__ import annotations
@@ -54,8 +57,17 @@ def tanh_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: exp(-softplus(-x))."""
-    return np.exp(-np.logaddexp(x.dtype.type(0.0), -x))
+    """Logistic function as 0.5 * tanh(x / 2) + 0.5.
+
+    The identity is exact; tanh saturates instead of overflowing, so any
+    finite input gives a value in [0, 1] without a floating-point warning.
+    Within 2^-23 (float32) and 4e-16 (float64) of the exact value.
+    """
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -152,7 +164,10 @@ def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
 def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
     """Returns (pooled, argmax) where argmax holds absolute time indices.
 
-    Ties go to the first index in the window (numpy argmax convention).
+    Ties go to the first index in the window, and a window holding NaN
+    reports its first NaN (numpy argmax convention).  Non-overlapping
+    windows (stride == window) are a reshape of the input to
+    (B, T_out, window, F); other strides take a sliding-window view.
     """
     xb, single = _as_batch(x)
     b, t, f = xb.shape
@@ -160,10 +175,22 @@ def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
         raise ShapeMismatch(f"window {window} invalid for T={t}")
     if stride < 1:
         raise ShapeMismatch(f"stride must be >= 1, got {stride}")
-    win = np.lib.stride_tricks.sliding_window_view(xb, window, axis=1)[:, ::stride]
-    out = win.max(axis=-1)
-    offset = win.argmax(axis=-1)
-    t_out = out.shape[1]
+    t_out = conv1d_out_len(t, window, stride)
+    if stride == window:
+        win = xb[:, :t_out * window].reshape(b, t_out, window, f)
+        out = win.max(axis=2)
+        # the argmax offset counts the window entries before the first hit
+        # (argmax over a middle axis of length 2 or 3 is slow in numpy)
+        offset = np.zeros(out.shape, dtype=np.min_scalar_type(window))
+        missed = np.ones(out.shape, dtype=bool)
+        for a in range(window - 1):
+            col = win[:, :, a]
+            missed &= (col != out) & (col == col)
+            offset += missed
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xb, window, axis=1)[:, ::stride]
+        out = win.max(axis=-1)
+        offset = win.argmax(axis=-1)
     starts = (np.arange(t_out) * stride)[None, :, None]
     argmax = offset + starts
     if single:
@@ -281,25 +308,28 @@ def _lstm_operands(params: LSTMCellParams, dtype):
             (params.b_x + params.b_h).astype(dtype, copy=False))
 
 
-def _lstm_step(x_t, h_prev, c_prev, wx, wh, bias):
-    """The gate math of one step, for any leading batch shape:
+def _lstm_step(xw_t, h_prev, c_prev, wh, bias):
+    """The gate math of one step, for any leading batch shape, given the
+    input row already projected, ``xw_t = x_t W_x``:
 
-        [i f g o] = x W_x + h_prev W_h + (b_x + b_h)   (pre-activations)
+        [i f g o] = xw_t + h_prev W_h + (b_x + b_h)   (pre-activations)
         i, f, o = sigmoid(.),  g = tanh(.)
         c = f * c_prev + i * g
         h = o * tanh(c)
 
-    Returns (h, c, (i, f, g, o, tanh(c))).
+    Returns (h, c, act, tanh(c)), where ``act`` holds i, f, g and o in the
+    gate column blocks.
     """
     hsz = wh.shape[0]
-    gates = x_t @ wx + h_prev @ wh + bias
-    i = sigmoid(gates[..., 0 * hsz:1 * hsz])
-    f = sigmoid(gates[..., 1 * hsz:2 * hsz])
-    g = np.tanh(gates[..., 2 * hsz:3 * hsz])
-    o = sigmoid(gates[..., 3 * hsz:4 * hsz])
+    act = xw_t + h_prev @ wh
+    act += bias
+    act[..., :2 * hsz] = sigmoid(act[..., :2 * hsz])  # i, f
+    np.tanh(act[..., 2 * hsz:3 * hsz], out=act[..., 2 * hsz:3 * hsz])  # g
+    act[..., 3 * hsz:] = sigmoid(act[..., 3 * hsz:])  # o
+    i, f, g, o = (act[..., k * hsz:(k + 1) * hsz] for k in range(4))
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    return o * tc, c, (i, f, g, o, tc)
+    return o * tc, c, act, tc
 
 
 def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
@@ -314,8 +344,9 @@ def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
         raise ShapeMismatch(f"x_t dim {x_t.shape[-1]} != input size {params.input_size}")
     if h_prev.shape[-1] != params.hidden_size or c_prev.shape != h_prev.shape:
         raise ShapeMismatch("state shapes inconsistent with hidden size")
-    h_t, c, (i, f, g, o, tc) = _lstm_step(x_t, h_prev, c_prev, params.W_x, params.W_h,
-                                          params.b_x + params.b_h)
+    h_t, c, act, tc = _lstm_step(x_t @ params.W_x, h_prev, c_prev, params.W_h,
+                                 params.b_x + params.b_h)
+    i, f, g, o = np.split(act, 4, axis=-1)
     cache = (x_t, h_prev, c_prev, i, f, g, o, tc)
     return h_t, c, cache
 
@@ -325,7 +356,8 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     """Run the cell over a full sequence; returns (h_seq, cache).
 
     h_seq holds every hidden state: (T, H) for a single sequence, (B, T, H)
-    for a batch.
+    for a batch.  The input projection x W_x is one GEMM over all B*T rows;
+    the states and gate activations are cached time-major.
     """
     params.check_shapes()
     xb, single = _as_batch(x)
@@ -338,27 +370,20 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     c = np.zeros((b, hsz), dtype=dtype) if c0 is None else np.atleast_2d(c0).astype(dtype)
     if h.shape != (b, hsz) or c.shape != (b, hsz):
         raise ShapeMismatch("initial state shape mismatch")
+    hs = np.empty((t + 1, b, hsz), dtype=dtype)  # hs[s] and cs[s] are step s's inputs
+    cs = np.empty((t + 1, b, hsz), dtype=dtype)
+    hs[0], cs[0] = h, c
 
     wx, wh, bias = _lstm_operands(params, dtype)
-    h_seq = np.empty((b, t, hsz), dtype=dtype)
-    gi = np.empty((b, t, hsz), dtype=dtype)
-    gf = np.empty((b, t, hsz), dtype=dtype)
-    gg = np.empty((b, t, hsz), dtype=dtype)
-    go = np.empty((b, t, hsz), dtype=dtype)
-    cs = np.empty((b, t, hsz), dtype=dtype)
-    tcs = np.empty((b, t, hsz), dtype=dtype)
-    h_prevs = np.empty((b, t, hsz), dtype=dtype)
-    c_prevs = np.empty((b, t, hsz), dtype=dtype)
-
+    xw = (xb.reshape(b * t, d) @ wx).reshape(b, t, 4 * hsz)
+    acts = np.empty((t, b, 4 * hsz), dtype=dtype)
+    tcs = np.empty((t, b, hsz), dtype=dtype)
     for step in range(t):
-        h_prevs[:, step] = h
-        c_prevs[:, step] = c
-        h, c, (i, f, g, o, tc) = _lstm_step(xb[:, step], h, c, wx, wh, bias)
-        gi[:, step], gf[:, step], gg[:, step], go[:, step] = i, f, g, o
-        cs[:, step], tcs[:, step] = c, tc
-        h_seq[:, step] = h
+        hs[step + 1], cs[step + 1], acts[step], tcs[step] = _lstm_step(
+            xw[:, step], hs[step], cs[step], wh, bias)
 
-    cache = (xb, h_prevs, c_prevs, gi, gf, gg, go, cs, tcs, single)
+    cache = (xb, hs, cs, acts, tcs, single)
+    h_seq = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
     return (h_seq[0] if single else h_seq), cache
 
 
@@ -368,43 +393,45 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
     """Backpropagation through time.
 
     Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_params is a
-    dict keyed like LSTMCellParams fields, in the same fused layout.
+    dict keyed like LSTMCellParams fields, in the same fused layout.  The
+    loop carries only the recurrent gradient; grad_x and the weight
+    gradients are one GEMM each over all B*T rows afterwards.
     """
-    xb, h_prevs, c_prevs, gi, gf, gg, go, cs, tcs, single = cache
-    b, t, hsz = gi.shape
+    xb, hs, cs, acts, tcs, single = cache
+    t, b, g4 = acts.shape
+    hsz = g4 // 4
     gseq, gsingle = _as_batch(grad_h_seq)
     if gseq.shape != (b, t, hsz) or gsingle != single:
         raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} mismatch")
-    wx, wh, _ = _lstm_operands(params, xb.dtype)
+    dtype = xb.dtype
+    wx, wh, _ = _lstm_operands(params, dtype)
+    wh_t = np.ascontiguousarray(wh.T)
 
-    grad_x = np.empty_like(xb)
-    d_gates_seq = np.empty((b, t, 4 * hsz), dtype=xb.dtype)
-    dh = np.zeros((b, hsz), dtype=xb.dtype) if grad_h_last is None else grad_h_last.astype(xb.dtype)
-    dc = np.zeros((b, hsz), dtype=xb.dtype) if grad_c_last is None else grad_c_last.astype(xb.dtype)
+    d_gates = np.empty_like(acts)
+    dh = np.zeros((b, hsz), dtype=dtype) if grad_h_last is None else grad_h_last.astype(dtype)
+    dc = np.zeros((b, hsz), dtype=dtype) if grad_c_last is None else grad_c_last.astype(dtype)
+    h1, h2, h3 = hsz, 2 * hsz, 3 * hsz
 
     for step in range(t - 1, -1, -1):
+        act, tc, d = acts[step], tcs[step], d_gates[step]
+        i, f, g, o = act[:, :h1], act[:, h1:h2], act[:, h2:h3], act[:, h3:]
+        dsig = act * (1.0 - act)  # sigmoid derivative of the i, f and o blocks
         dh = dh + gseq[:, step]
-        i, f, g, o = gi[:, step], gf[:, step], gg[:, step], go[:, step]
-        tc = tcs[:, step]
-        do = dh * tc
         dcc = dc + dh * o * (1.0 - tc * tc)
-        d_gates = np.concatenate([
-            (dcc * g) * i * (1.0 - i),
-            (dcc * c_prevs[:, step]) * f * (1.0 - f),
-            (dcc * i) * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=-1)
-        d_gates_seq[:, step] = d_gates
-        grad_x[:, step] = d_gates @ wx.T
-        dh = d_gates @ wh.T
+        d[:, :h1] = dcc * g * dsig[:, :h1]
+        d[:, h1:h2] = dcc * cs[step] * dsig[:, h1:h2]
+        d[:, h2:h3] = dcc * i * (1.0 - g * g)
+        d[:, h3:] = dh * tc * dsig[:, h3:]
+        dh = d @ wh_t
         dc = dcc * f
 
-    x2 = xb.reshape(-1, xb.shape[-1])
-    h2 = h_prevs.reshape(-1, hsz)
-    dg2 = d_gates_seq.reshape(-1, 4 * hsz)
+    dg2 = d_gates.reshape(t * b, g4)
+    x_tm = xb.transpose(1, 0, 2).reshape(t * b, -1)
+    grad_x = np.ascontiguousarray((dg2 @ wx.T).reshape(t, b, -1).transpose(1, 0, 2))
     # the two bias vectors enter the gates as a sum, so they share a gradient
     gb = dg2.sum(axis=0)  # (4H,)
-    grads = {"W_x": x2.T @ dg2, "W_h": h2.T @ dg2, "b_x": gb, "b_h": gb.copy()}
+    grads = {"W_x": x_tm.T @ dg2, "W_h": hs[:-1].reshape(t * b, hsz).T @ dg2,
+             "b_x": gb, "b_h": gb.copy()}
     if single:
         grad_x = grad_x[0]
     return grad_x, grads, dh, dc

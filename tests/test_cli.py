@@ -168,6 +168,48 @@ def test_recognize_version_1_file_is_data_error(workspace, tmp_path):
     assert "gen-data" in r.stderr
 
 
+def _version_1_file(path):
+    path.write_text('{"magic":"ASLCHAMP-DS","schema_version":1,"provenance":""}\n')
+    return path, "FormatError"
+
+
+def _corrupted_file(path, source):
+    shutil.copy(source, path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF  # the checksum tail no longer matches the payload
+    path.write_bytes(bytes(raw))
+    return path, "FormatError"
+
+
+def _invalid_sample_file(path, source):
+    shutil.copy(source, path)
+
+    def nan_in_present_hands(header, samples):
+        samples[0]["locations"][samples[0]["present"].astype(bool)] = np.nan
+
+    rewrite_dataset(path, nan_in_present_hands)
+    return path, "SchemaError"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["version-1", "corrupted", "invalid-sample"])
+def test_train_and_eval_on_a_bad_dataset_are_data_errors(workspace, tmp_path, command, kind):
+    target = tmp_path / "bad.ds"
+    if kind == "version-1":
+        bad, error = _version_1_file(target)
+    elif kind == "corrupted":
+        bad, error = _corrupted_file(target, workspace["data"])
+    else:
+        bad, error = _invalid_sample_file(target, workspace["data"])
+    if command == "train":
+        r = run_cli(*TRAIN_MINI, "--data", bad, "--ckpt", tmp_path / "out.ckpt")
+    else:
+        r = run_cli("eval", "--ckpt", workspace["ckpt"], "--data", bad)
+    assert r.returncode == 4, r.stderr
+    assert error in r.stderr
+    assert not (tmp_path / "out.ckpt").exists()
+
+
 # Every sign a simulated learner produces in a MILK/TEA/COFFEE lesson: the
 # sign asked for, or the wrong production the simulator substitutes for it
 # (a COFFEE sample for MILK and for TEA, COFFEE_REVERSED for COFFEE).

@@ -20,9 +20,10 @@ from aslchamp.net import (
     predict,
     train,
 )
-from aslchamp.nn_ops import NonFiniteValue, ShapeMismatch
+from aslchamp.net import _backward_full, _forward_full
+from aslchamp.nn_ops import NonFiniteValue, ShapeMismatch, softmax_xent_batch
 
-from conftest import make_sample
+from conftest import make_sample, random_sample
 
 
 TINY = NetConfig(t_max=40, feature_dim=12, scale_factor=Fraction(1, 32), n_classes=9)
@@ -185,28 +186,19 @@ def test_forward_shape_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_end_to_end_parameter_gradients_match_finite_differences(rng):
-    cfg = NetConfig(t_max=24, feature_dim=10, scale_factor=Fraction(1, 64),
-                    n_classes=3, classes=("A", "B", "C"), dropout_rate=0.0)
-    net = build_network(cfg, seed=9)
-    # the zero-initialized output layer must see a nonzero gradient path
-    net.params["out/W"] = 0.3 * rng.standard_normal(net.params["out/W"].shape)
-    x = rng.standard_normal((1, cfg.t_max, cfg.feature_dim)) * 0.5
-    target = np.array([1])
+def _batch_loss(net, x, y):
+    """(loss, probs, cache, grad_logits) of the inference-mode batch loss."""
+    logits, probs, cache = _forward_full(net, x, train=False, rng=None)
+    loss, grad_logits = softmax_xent_batch(logits.astype(np.float64), y)
+    return loss, probs, cache, grad_logits
 
-    from aslchamp.net import _backward_full, _forward_full
-    from aslchamp.nn_ops import grad_check, softmax_xent_batch
 
-    logits, _, cache = _forward_full(net, x, train=False, rng=None)
-    _, grad_logits = softmax_xent_batch(logits.astype(np.float64), target)
+def _worst_fd_error(net, x, y, eps=1e-5):
+    """Worst relative error between the analytic parameter gradients and
+    central differences, spot-checked at a dozen random coordinates per
+    parameter group."""
+    _, _, cache, grad_logits = _batch_loss(net, x, y)
     grads = _backward_full(net, cache, grad_logits)
-
-    def loss_fn():
-        lg, _, _ = _forward_full(net, x, train=False, rng=None)
-        loss, _ = softmax_xent_batch(lg.astype(np.float64), target)
-        return loss
-
-    # spot-check a dozen random coordinates per parameter group
     worst = 0.0
     sampler = np.random.default_rng(0)
     for key in sorted(net.params):
@@ -215,17 +207,108 @@ def test_end_to_end_parameter_gradients_match_finite_differences(rng):
         for fi in flat_idx:
             idx = np.unravel_index(fi, arr.shape)
             orig = arr[idx]
-            eps = 1e-5
             arr[idx] = orig + eps
-            f_plus = loss_fn()
+            f_plus = _batch_loss(net, x, y)[0]
             arr[idx] = orig - eps
-            f_minus = loss_fn()
+            f_minus = _batch_loss(net, x, y)[0]
             arr[idx] = orig
             numeric = (f_plus - f_minus) / (2 * eps)
             a = grads[key][idx]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
-    assert worst < 1e-3
+    return worst
+
+
+def test_end_to_end_parameter_gradients_match_finite_differences(rng):
+    cfg = NetConfig(t_max=24, feature_dim=10, scale_factor=Fraction(1, 64),
+                    n_classes=3, classes=("A", "B", "C"), dropout_rate=0.0)
+    net = build_network(cfg, seed=9)
+    # the zero-initialized output layer must see a nonzero gradient path
+    net.params["out/W"] = 0.3 * rng.standard_normal(net.params["out/W"].shape)
+    x = rng.standard_normal((1, cfg.t_max, cfg.feature_dim)) * 0.5
+    assert _worst_fd_error(net, x, np.array([1])) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Length-aware batches: rows past a batch's T count as zero
+# ---------------------------------------------------------------------------
+
+
+def ragged_dataset(lengths, feature_dim, seed=0):
+    rng = np.random.default_rng(seed)
+    feats = [0.5 * rng.standard_normal((n, feature_dim)) for n in lengths]
+    return EncodedDataset(features=feats, lengths=np.array(lengths),
+                          y=np.arange(len(lengths)) % 3, signer_ids=["x"] * len(lengths))
+
+
+def length_cfg(dtype="float64", kernel_size=3, pool=2):
+    return NetConfig(t_max=32, feature_dim=10, scale_factor=Fraction(1, 64), n_classes=3,
+                     classes=("A", "B", "C"), dropout_rate=0.0, dtype=dtype,
+                     kernel_size=kernel_size, pool=pool)
+
+
+def drawn_head_network(cfg, seed=9):
+    """A built network whose zero output layer is replaced by a drawn one,
+    so every layer below it gets a gradient."""
+    net = build_network(cfg, seed=seed)
+    shape = net.params["out/W"].shape
+    net.params["out/W"] = (0.3 * np.random.default_rng(seed).standard_normal(shape)
+                           ).astype(cfg.np_dtype)
+    return net
+
+
+@pytest.mark.parametrize("lengths", [(1, 6, 11), (1, 11, 32)])
+def test_end_to_end_gradients_on_a_ragged_padded_batch(lengths):
+    # with T < t_max the conv stages skip the suffix and fold its gradient
+    cfg = length_cfg()
+    net = drawn_head_network(cfg)
+    data = ragged_dataset(lengths, cfg.feature_dim)
+    x = data.batch(range(3), cfg.t_max, cfg.np_dtype)
+    assert x.shape == (3, max(lengths), cfg.feature_dim)
+    assert _worst_fd_error(net, x, data.y) < 1e-3
+
+
+@pytest.mark.parametrize("kernel_size, pool", [(3, 2), (5, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("lengths", [(9,), (1,), (1, 9, 16), (40, 4, 2)])
+def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
+    for dtype in ("float32", "float64"):
+        cfg = length_cfg(dtype, kernel_size, pool)
+        net = drawn_head_network(cfg)
+        data = ragged_dataset(lengths, cfg.feature_dim)
+        x = data.batch(range(len(lengths)), cfg.t_max, cfg.np_dtype)
+        assert x.shape[1] == min(cfg.t_max, max(lengths))
+        padded = np.zeros((len(lengths), cfg.t_max, cfg.feature_dim), dtype=x.dtype)
+        padded[:, :x.shape[1]] = x
+        _, probs, cache, grad_logits = _batch_loss(net, x, data.y)
+        _, probs_padded, cache_padded, grad_logits_padded = _batch_loss(net, padded, data.y)
+        np.testing.assert_array_equal(probs, probs_padded)
+        np.testing.assert_array_equal(forward(net, x), forward(net, padded))
+        if dtype == "float64":
+            grads = _backward_full(net, cache, grad_logits)
+            grads_padded = _backward_full(net, cache_padded, grad_logits_padded)
+            for key, want in grads_padded.items():
+                scale = max(float(np.abs(want).max()), 1e-300)
+                assert float(np.abs(grads[key] - want).max()) <= 1e-12 * scale, key
+
+
+def test_forward_accepts_any_length_up_to_t_max(rng):
+    net = build_network(TINY, seed=4)
+    for t in (1, 2, 17, 40):
+        assert forward(net, rng.standard_normal((2, t, 12))).shape == (2, 9)
+    with pytest.raises(ShapeMismatch):
+        forward(net, np.zeros((2, 0, 12)))
+
+
+def test_predict_equals_forward_on_the_zero_padded_sample(rng):
+    cfg = NetConfig(t_max=40, scale_factor=Fraction(1, 32))
+    net = drawn_head_network(cfg, seed=4)
+    for n_frames in (15, 55):  # the second is truncated to t_max
+        sample = random_sample(rng, n_frames=n_frames)
+        m = gesture.encode_features(sample, cfg.encoding())
+        want = forward(net, gesture.pad_or_truncate(m, cfg.t_max).values)[0]
+        got = predict(net, sample).distribution
+        assert len(set(got.tolist())) > 1
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,21 @@ def test_sigmoid_stability():
     assert sigmoid(np.array([-800.0]))[0] == 0.0
 
 
+def test_sigmoid_accuracy_over_its_range():
+    grid = np.linspace(-40.0, 40.0, 160_001)
+    exact = 1.0 / (1.0 + np.exp(-grid.astype(np.longdouble)))
+    reference = exact.astype(np.float64)
+    err32 = np.abs(sigmoid(grid.astype(np.float32)).astype(np.float64) - reference)
+    assert err32.max() <= 2.0 ** -23
+    err64 = np.abs(sigmoid(grid).astype(np.longdouble) - exact)
+    assert float(err64.max()) <= 4e-16
+    for dtype in (np.float32, np.float64):
+        with np.errstate(all="raise"):
+            out = sigmoid(np.array([-1e4, 1e4], dtype=dtype))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, [0.0, 1.0])
+
+
 def test_softmax_uniform_and_exact_values():
     np.testing.assert_array_equal(softmax(np.zeros(3)), np.full(3, 1.0 / 3.0))
     out = softmax(np.array([0.0, math.log(3.0)]))
@@ -305,6 +320,32 @@ def test_pool_matches_oracle(rng):
         np.testing.assert_array_equal(arg, want_arg)
 
 
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_pool_non_overlapping_matches_oracle_with_ties(rng, window):
+    # stride == window takes the reshape path; small integers make ties common
+    for _ in range(20):
+        t = int(rng.integers(window, 15))
+        x = rng.integers(-2, 3, size=(t, 3)).astype(float)
+        out, arg = maxpool1d_forward(x, window, window)
+        want, want_arg = pool_oracle(x, window, window)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(arg, want_arg)
+    batch = rng.integers(-2, 3, size=(4, 13, 5)).astype(np.float32)
+    out, arg = maxpool1d_forward(batch, window, window)
+    assert out.dtype == np.float32 and arg.dtype == np.intp
+    for b in range(4):
+        want, want_arg = pool_oracle(batch[b], window, window)
+        np.testing.assert_array_equal(out[b], want)
+        np.testing.assert_array_equal(arg[b], want_arg)
+
+
+def test_pool_non_overlapping_reports_first_nan_like_argmax():
+    x = np.array([[1.0], [np.nan], [np.nan], [0.0], [2.0], [np.nan]])
+    out, arg = maxpool1d_forward(x, 3, 3)
+    assert np.isnan(out).all()
+    np.testing.assert_array_equal(arg[:, 0], [1, 5])
+
+
 def test_pool_backward_conserves_gradient_mass(rng):
     for _ in range(10):
         x = rng.standard_normal((11, 3))
@@ -394,6 +435,16 @@ def test_lstm_sequence_t1_equals_cell(rng):
     h_seq, _ = lstm_sequence(x, params)
     h_cell, _, _ = lstm_cell(x[0], np.zeros(4), np.zeros(4), params)
     np.testing.assert_allclose(h_seq[0], h_cell, atol=1e-15)
+
+
+def test_lstm_sequence_matches_cell_by_cell(rng):
+    params = random_lstm_params(rng, 3, 4)
+    x = rng.standard_normal((2, 6, 3))
+    h_seq, _ = lstm_sequence(x, params)
+    h, c = np.zeros((2, 4)), np.zeros((2, 4))
+    for step in range(6):
+        h, c, _ = lstm_cell(x[:, step], h, c, params)
+        np.testing.assert_allclose(h_seq[:, step], h, atol=1e-14, rtol=0)
 
 
 def test_lstm_sequence_zero_everything_is_zero():
