@@ -474,7 +474,6 @@ class EncodedDataset:
     """Per-sample feature matrices (unpadded) with integer class targets."""
 
     features: list[np.ndarray]
-    lengths: np.ndarray
     y: np.ndarray
     signer_ids: list[str]
 
@@ -507,17 +506,15 @@ def encode_gesture_dataset(ds: GestureDataset, cfg: NetConfig) -> EncodedDataset
         raise EmptyDataset("no samples to encode")
     label_index = {name: i for i, name in enumerate(cfg.classes)}
     enc_cfg = cfg.encoding()
-    feats, lens, ys, signers = [], [], [], []
+    feats, ys, signers = [], [], []
     for s in ds.samples:
         if s.label.name not in label_index:
             raise ClassMismatch(f"sample label {s.label.name} not in network classes")
         m = encode_features(s, enc_cfg)
         feats.append(m.values.astype(cfg.np_dtype))
-        lens.append(m.mask_len)
         ys.append(label_index[s.label.name])
         signers.append(s.signer_id)
-    return EncodedDataset(features=feats, lengths=np.array(lens),
-                          y=np.array(ys, dtype=np.int64), signer_ids=signers)
+    return EncodedDataset(features=feats, y=np.array(ys, dtype=np.int64), signer_ids=signers)
 
 
 @dataclass(frozen=True)

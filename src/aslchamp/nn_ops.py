@@ -6,10 +6,16 @@ are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Time-major layouts: a single sequence is (T, D) and a
 batch is (B, T, D).  Ops accept either and preserve which one they were given.
 LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
-layer.  ``lstm_sequence`` projects the whole input through W_x in one
-(B*T, D) x (D, 4H) GEMM before the time loop, so each step does one gate
-GEMM, h W_h; its backward pass forms the input gradient in one GEMM after
-the loop.  ``lstm_cell`` and ``lstm_sequence`` share the single step
+layer, and every GEMM runs on that layout.  ``lstm_sequence`` projects the
+whole input through W_x in one (T*B, D) x (D, 4H) GEMM before the time
+loop, so each step does one gate GEMM, h W_h; its backward pass forms the
+input and weight gradients in one GEMM each after the loop.  Inside the
+loop the gates are gate-major, (4, B, H), so each gate is one contiguous
+block and the element-wise work of all four gates runs as a few wide ops,
+one tanh among them (sigmoid(z) = 0.5 tanh(z/2) + 0.5 on i, f and o).
+Every value is formed by the same operations in the same order as with
+the gates as column blocks of a (B, 4H) row, so the results are the same
+bit for bit.  ``lstm_cell`` and ``lstm_sequence`` share the single step
 implementation ``_lstm_step``.
 """
 
@@ -302,34 +308,65 @@ class LSTMCellParams:
                               b_x=np.zeros(g, dtype=dtype), b_h=np.zeros(g, dtype=dtype))
 
 
-def _lstm_operands(params: LSTMCellParams, dtype):
-    """(W_x, W_h, b_x + b_h) in ``dtype``: what each step multiplies by and adds."""
-    return (params.W_x.astype(dtype, copy=False), params.W_h.astype(dtype, copy=False),
-            (params.b_x + params.b_h).astype(dtype, copy=False))
+def _step_operands(params: LSTMCellParams, dtype, lead: tuple[int, ...]):
+    """What every step of batch shape ``lead`` multiplies by and adds.
+
+    Returns (wh, hw, hw_gates, bias, scale, shift): the stored W_h in
+    ``dtype``, a (*lead, 4H) buffer for h_prev W_h with its gate-major view
+    (4, *lead, H), and bias (b_x + b_h), scale and shift, gate-major at the
+    full step shape: element-wise ops against a broadcast operand run
+    several times slower than against a contiguous one of the same shape.
+    """
+    wh = params.W_h.astype(dtype, copy=False)
+    hsz = params.hidden_size
+    shape = (4, *lead, hsz)
+    bias = np.empty(shape, dtype=dtype)
+    bias[...] = (params.b_x + params.b_h).astype(dtype, copy=False).reshape(
+        (4,) + (1,) * len(lead) + (hsz,))
+    # i, f, o: 0.5 * tanh(0.5 z) + 0.5 is ``sigmoid``; g: 1 * tanh(1 z) + (-0.0)
+    # is tanh(z) bit for bit (x * 1 == x and x + -0.0 == x, signed zeros too)
+    scale = np.full(shape, 0.5, dtype=dtype)
+    shift = np.full(shape, 0.5, dtype=dtype)
+    scale[2] = 1.0
+    shift[2] = -0.0
+    hw = np.empty((*lead, 4 * hsz), dtype=dtype)
+    hw_gates = np.moveaxis(hw.reshape(*lead, 4, hsz), -2, 0)
+    return wh, hw, hw_gates, bias, scale, shift
 
 
-def _lstm_step(xw_t, h_prev, c_prev, wh, bias):
+def _lstm_step(h_prev, c_prev, operands, act, c, tc, h):
     """The gate math of one step, for any leading batch shape, given the
-    input row already projected, ``xw_t = x_t W_x``:
+    input already projected, x_t W_x, in ``act`` as (4, *batch, H), gate
+    k's columns in act[k]:
 
-        [i f g o] = xw_t + h_prev W_h + (b_x + b_h)   (pre-activations)
+        [i f g o] = x_t W_x + h_prev W_h + (b_x + b_h)   (pre-activations)
         i, f, o = sigmoid(.),  g = tanh(.)
         c = f * c_prev + i * g
         h = o * tanh(c)
 
-    Returns (h, c, act, tanh(c)), where ``act`` holds i, f, g and o in the
-    gate column blocks.
+    ``operands`` come from ``_step_operands``.  Overwrites ``act`` with the
+    gate activations, each gate one contiguous (*batch, H) block, and
+    writes c, tanh(c) and h into the last three arguments.  h_prev W_h is
+    the GEMM of the fused layout; one strided add moves it gate-major.  All
+    four gates then go through one tanh, act = scale * tanh(scale * act) +
+    shift, which is ``sigmoid`` on i, f and o and tanh on g.  Each value
+    comes from the same operations on the same operands, in the same order,
+    as with the gates in the fused column blocks, so it is bit for bit the
+    same.  (A per-gate GEMM on (H, H) blocks of W_h is not: BLAS sums the
+    narrower product in another order for some shapes.)
     """
-    hsz = wh.shape[0]
-    act = xw_t + h_prev @ wh
+    wh, hw, hw_gates, bias, scale, shift = operands
+    np.matmul(h_prev, wh, out=hw)
+    np.add(act, hw_gates, out=act)
     act += bias
-    act[..., :2 * hsz] = sigmoid(act[..., :2 * hsz])  # i, f
-    np.tanh(act[..., 2 * hsz:3 * hsz], out=act[..., 2 * hsz:3 * hsz])  # g
-    act[..., 3 * hsz:] = sigmoid(act[..., 3 * hsz:])  # o
-    i, f, g, o = (act[..., k * hsz:(k + 1) * hsz] for k in range(4))
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return o * tc, c, act, tc
+    act *= scale
+    np.tanh(act, out=act)
+    act *= scale
+    act += shift
+    np.multiply(act[1], c_prev, out=c)
+    c += act[0] * act[2]
+    np.tanh(c, out=tc)
+    np.multiply(act[3], tc, out=h)
 
 
 def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
@@ -344,9 +381,13 @@ def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
         raise ShapeMismatch(f"x_t dim {x_t.shape[-1]} != input size {params.input_size}")
     if h_prev.shape[-1] != params.hidden_size or c_prev.shape != h_prev.shape:
         raise ShapeMismatch("state shapes inconsistent with hidden size")
-    h_t, c, act, tc = _lstm_step(x_t @ params.W_x, h_prev, c_prev, params.W_h,
-                                 params.b_x + params.b_h)
-    i, f, g, o = np.split(act, 4, axis=-1)
+    hsz = params.hidden_size
+    lead = h_prev.shape[:-1]
+    xw = (x_t @ params.W_x).reshape(*lead, 4, hsz)
+    act = np.ascontiguousarray(np.moveaxis(xw, -2, 0))
+    c, tc, h_t = (np.empty(h_prev.shape, dtype=xw.dtype) for _ in range(3))
+    _lstm_step(h_prev, c_prev, _step_operands(params, xw.dtype, lead), act, c, tc, h_t)
+    i, f, g, o = act
     cache = (x_t, h_prev, c_prev, i, f, g, o, tc)
     return h_t, c, cache
 
@@ -356,8 +397,11 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     """Run the cell over a full sequence; returns (h_seq, cache).
 
     h_seq holds every hidden state: (T, H) for a single sequence, (B, T, H)
-    for a batch.  The input projection x W_x is one GEMM over all B*T rows;
-    the states and gate activations are cached time-major.
+    for a batch.  The input projection x W_x is one GEMM over all T*B rows,
+    copied once into gate-major steps (T, 4, B, H).  The cache holds the
+    input as given, (B, T, D), and the states, tanh(c) and the gate
+    activations time-major, the gates gate-major: acts[t, k] is gate
+    GATE_ORDER[k] at step t, a contiguous (B, H) block.
     """
     params.check_shapes()
     xb, single = _as_batch(x)
@@ -374,13 +418,12 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     cs = np.empty((t + 1, b, hsz), dtype=dtype)
     hs[0], cs[0] = h, c
 
-    wx, wh, bias = _lstm_operands(params, dtype)
-    xw = (xb.reshape(b * t, d) @ wx).reshape(b, t, 4 * hsz)
-    acts = np.empty((t, b, 4 * hsz), dtype=dtype)
+    operands = _step_operands(params, dtype, (b,))
+    xw = xb.transpose(1, 0, 2).reshape(t * b, d) @ params.W_x.astype(dtype, copy=False)
+    acts = np.ascontiguousarray(xw.reshape(t, b, 4, hsz).transpose(0, 2, 1, 3))
     tcs = np.empty((t, b, hsz), dtype=dtype)
     for step in range(t):
-        hs[step + 1], cs[step + 1], acts[step], tcs[step] = _lstm_step(
-            xw[:, step], hs[step], cs[step], wh, bias)
+        _lstm_step(hs[step], cs[step], operands, acts[step], cs[step + 1], tcs[step], hs[step + 1])
 
     cache = (xb, hs, cs, acts, tcs, single)
     h_seq = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
@@ -394,36 +437,50 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
 
     Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_params is a
     dict keyed like LSTMCellParams fields, in the same fused layout.  The
-    loop carries only the recurrent gradient; grad_x and the weight
-    gradients are one GEMM each over all B*T rows afterwards.
+    loop carries only the recurrent gradient: each gate's gradient is
+    formed from the contiguous gate blocks of the cache and written into
+    its column block of the fused (B, 4H) gradient row, so the recurrent
+    GEMM and, after the loop, grad_x and the weight gradients (one GEMM
+    each over all T*B rows) run on the fused layout.
     """
     xb, hs, cs, acts, tcs, single = cache
-    t, b, g4 = acts.shape
-    hsz = g4 // 4
+    t, _, b, hsz = acts.shape
+    g4 = 4 * hsz
     gseq, gsingle = _as_batch(grad_h_seq)
     if gseq.shape != (b, t, hsz) or gsingle != single:
         raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} mismatch")
     dtype = xb.dtype
-    wx, wh, _ = _lstm_operands(params, dtype)
-    wh_t = np.ascontiguousarray(wh.T)
+    wx = params.W_x.astype(dtype, copy=False)
+    wh_t = np.ascontiguousarray(params.W_h.T, dtype=dtype)
 
-    d_gates = np.empty_like(acts)
-    dh = np.zeros((b, hsz), dtype=dtype) if grad_h_last is None else grad_h_last.astype(dtype)
-    dc = np.zeros((b, hsz), dtype=dtype) if grad_c_last is None else grad_c_last.astype(dtype)
-    h1, h2, h3 = hsz, 2 * hsz, 3 * hsz
+    d_gates = np.empty((t, b, g4), dtype=dtype)
+    d_gate_major = d_gates.reshape(t, b, 4, hsz).transpose(0, 2, 1, 3)
+    dh, dc = (np.zeros((b, hsz), dtype=dtype) if v is None
+              else np.broadcast_to(v, (b, hsz)).astype(dtype) for v in (grad_h_last, grad_c_last))
+    dcc, tmp = (np.empty((b, hsz), dtype=dtype) for _ in range(2))
+    deriv, first = (np.empty((4, b, hsz), dtype=dtype) for _ in range(2))
 
     for step in range(t - 1, -1, -1):
-        act, tc, d = acts[step], tcs[step], d_gates[step]
-        i, f, g, o = act[:, :h1], act[:, h1:h2], act[:, h2:h3], act[:, h3:]
-        dsig = act * (1.0 - act)  # sigmoid derivative of the i, f and o blocks
-        dh = dh + gseq[:, step]
-        dcc = dc + dh * o * (1.0 - tc * tc)
-        d[:, :h1] = dcc * g * dsig[:, :h1]
-        d[:, h1:h2] = dcc * cs[step] * dsig[:, h1:h2]
-        d[:, h2:h3] = dcc * i * (1.0 - g * g)
-        d[:, h3:] = dh * tc * dsig[:, h3:]
-        dh = d @ wh_t
-        dc = dcc * f
+        act, tc = acts[step], tcs[step]
+        dh += gseq[:, step]
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, act[3], out=dcc)
+        dcc *= tmp
+        dcc += dc  # dc + dh * o * (1 - tanh(c)^2)
+        # each gate's derivative: s * (1 - s) for i, f and o, 1 - g^2 for g
+        np.subtract(1.0, act, out=deriv)
+        deriv *= act
+        np.multiply(act[2], act[2], out=deriv[2])
+        np.subtract(1.0, deriv[2], out=deriv[2])
+        # d_gate = first * derivative, with first = dcc g, dcc c_prev, dcc i, dh tanh(c)
+        np.multiply(dcc, act[2], out=first[0])
+        np.multiply(dcc, cs[step], out=first[1])
+        np.multiply(dcc, act[0], out=first[2])
+        np.multiply(dh, tc, out=first[3])
+        np.multiply(first, deriv, out=d_gate_major[step])
+        np.matmul(d_gates[step], wh_t, out=dh)
+        np.multiply(dcc, act[1], out=dc)
 
     dg2 = d_gates.reshape(t * b, g4)
     x_tm = xb.transpose(1, 0, 2).reshape(t * b, -1)

@@ -146,8 +146,7 @@ def test_train_state_round_trip_enables_exact_resume(tmp_path):
                     n_classes=2, classes=("A", "B"), dropout_rate=0.0)
     feats = [rng.standard_normal((40, 12)) * 0.2 + (0.5 if i % 2 == 0 else -0.5)
              for i in range(20)]
-    data = EncodedDataset(features=feats, lengths=np.full(20, 40),
-                          y=np.array([i % 2 for i in range(20)]),
+    data = EncodedDataset(features=feats, y=np.array([i % 2 for i in range(20)]),
                           signer_ids=["x"] * 20)
     net = build_network(cfg, seed=2)
     tc = TrainConfig(epochs=3, batch_size=10, shuffle_seed=7)

@@ -37,8 +37,7 @@ def toy_dataset(n=60, t=40, d=12, n_classes=2, seed=3, sep=0.5, noise=0.05):
         base = sep if cls == 0 else -sep
         feats.append(base + noise * rng.standard_normal((t, d)))
         ys.append(cls)
-    return EncodedDataset(features=feats, lengths=np.full(n, t),
-                          y=np.array(ys), signer_ids=["x"] * n)
+    return EncodedDataset(features=feats, y=np.array(ys), signer_ids=["x"] * n)
 
 
 TOY_CFG = NetConfig(t_max=40, feature_dim=12, scale_factor=Fraction(1, 32),
@@ -237,8 +236,8 @@ def test_end_to_end_parameter_gradients_match_finite_differences(rng):
 def ragged_dataset(lengths, feature_dim, seed=0):
     rng = np.random.default_rng(seed)
     feats = [0.5 * rng.standard_normal((n, feature_dim)) for n in lengths]
-    return EncodedDataset(features=feats, lengths=np.array(lengths),
-                          y=np.arange(len(lengths)) % 3, signer_ids=["x"] * len(lengths))
+    return EncodedDataset(features=feats, y=np.arange(len(lengths)) % 3,
+                          signer_ids=["x"] * len(lengths))
 
 
 def length_cfg(dtype="float64", kernel_size=3, pool=2):
@@ -344,8 +343,7 @@ def test_epochs_zero_rejected():
 
 def test_empty_dataset_rejected():
     net = build_network(TOY_CFG, seed=1)
-    empty = EncodedDataset(features=[], lengths=np.zeros(0), y=np.zeros(0, dtype=int),
-                           signer_ids=[])
+    empty = EncodedDataset(features=[], y=np.zeros(0, dtype=int), signer_ids=[])
     with pytest.raises(EmptyDataset):
         train(net, empty, None, TrainConfig(epochs=1))
 

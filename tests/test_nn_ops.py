@@ -509,6 +509,109 @@ def test_lstm_shape_errors(rng):
         lstm_sequence(np.zeros((4, 5)), params)
 
 
+def batch_major_lstm(x, params, h0=None, c0=None):
+    """The LSTM forward pass with each step's gates as column blocks of one
+    (B, 4H) row: batch-major input projection, sigmoid on the i|f and o
+    blocks, tanh on the g block.  Returns (h_seq, hs, cs, acts, tcs)."""
+    b, t, d = x.shape
+    hsz = params.hidden_size
+    wx, wh = params.W_x.astype(x.dtype), params.W_h.astype(x.dtype)
+    bias = (params.b_x + params.b_h).astype(x.dtype)
+    xw = (x.reshape(b * t, d) @ wx).reshape(b, t, 4 * hsz)
+    hs = [np.zeros((b, hsz), x.dtype) if h0 is None else h0.astype(x.dtype)]
+    cs = [np.zeros((b, hsz), x.dtype) if c0 is None else c0.astype(x.dtype)]
+    acts, tcs = [], []
+    for step in range(t):
+        act = xw[:, step] + hs[-1] @ wh
+        act += bias
+        act[:, :2 * hsz] = sigmoid(act[:, :2 * hsz])
+        np.tanh(act[:, 2 * hsz:3 * hsz], out=act[:, 2 * hsz:3 * hsz])
+        act[:, 3 * hsz:] = sigmoid(act[:, 3 * hsz:])
+        i, f, g, o = np.split(act, 4, axis=1)
+        cs.append(f * cs[-1] + i * g)
+        tcs.append(np.tanh(cs[-1]))
+        hs.append(o * tcs[-1])
+        acts.append(act)
+    return np.stack(hs[1:], axis=1), hs, cs, acts, tcs
+
+
+def batch_major_lstm_backward(x, params, fwd, grad_h_seq, dh=None, dc=None):
+    """BPTT through ``batch_major_lstm``; returns (grad_x, grads, dh0, dc0)."""
+    _, hs, cs, acts, tcs = fwd
+    b, t, _ = x.shape
+    hsz = params.hidden_size
+    wx, wh = params.W_x.astype(x.dtype), params.W_h.astype(x.dtype)
+    wh_t = np.ascontiguousarray(wh.T)
+    dh = np.zeros((b, hsz), x.dtype) if dh is None else dh.astype(x.dtype)
+    dc = np.zeros((b, hsz), x.dtype) if dc is None else dc.astype(x.dtype)
+    d_gates = np.empty((t, b, 4 * hsz), x.dtype)
+    for step in range(t - 1, -1, -1):
+        act, tc, d = acts[step], tcs[step], d_gates[step]
+        i, f, g, o = np.split(act, 4, axis=1)
+        dsig = np.split(act * (1.0 - act), 4, axis=1)
+        dh = dh + grad_h_seq[:, step]
+        dcc = dc + dh * o * (1.0 - tc * tc)
+        d[:] = np.concatenate([dcc * g * dsig[0], dcc * cs[step] * dsig[1],
+                               dcc * i * (1.0 - g * g), dh * tc * dsig[3]], axis=1)
+        dh = d @ wh_t
+        dc = dcc * f
+    dg2 = d_gates.reshape(t * b, 4 * hsz)
+    grad_x = (dg2 @ wx.T).reshape(t, b, -1).transpose(1, 0, 2)
+    gb = dg2.sum(axis=0)
+    grads = {"W_x": x.transpose(1, 0, 2).reshape(t * b, -1).T @ dg2,
+             "W_h": np.stack(hs[:-1]).reshape(t * b, hsz).T @ dg2, "b_x": gb, "b_h": gb}
+    return grad_x, grads, dh, dc
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _cast_params(params, dtype):
+    return LSTMCellParams(**{k: v.astype(dtype) for k, v in vars(params).items()})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 3, 128])
+@pytest.mark.parametrize("h_size", [5, 16, 32, 40])
+@pytest.mark.parametrize("with_state", [False, True])
+def test_lstm_is_bit_identical_to_the_batch_major_step(dtype, b, h_size, with_state):
+    rng = np.random.default_rng(1000 * b + h_size)
+    t, d = 9, 16
+    params = _cast_params(random_lstm_params(rng, d, h_size), dtype)
+    x = rng.standard_normal((b, t, d)).astype(dtype)
+    x[:, -3:] = 0.0  # a zero suffix, like a padded batch
+    x[0, 2] = -0.0
+    grad_h_seq = rng.standard_normal((b, t, h_size)).astype(dtype)
+    state = ({name: rng.standard_normal((b, h_size)).astype(dtype)
+              for name in ("h0", "c0", "dh", "dc")} if with_state else {})
+
+    h_seq, cache = lstm_sequence(x, params, h0=state.get("h0"), c0=state.get("c0"))
+    gx, grads, gh0, gc0 = lstm_sequence_backward(
+        cache, params, grad_h_seq, grad_h_last=state.get("dh"), grad_c_last=state.get("dc"))
+
+    fwd = batch_major_lstm(x, params, h0=state.get("h0"), c0=state.get("c0"))
+    ref_gx, ref_grads, ref_gh0, ref_gc0 = batch_major_lstm_backward(
+        x, params, fwd, grad_h_seq, dh=state.get("dh"), dc=state.get("dc"))
+    assert_bits_equal(h_seq, fwd[0])
+    assert_bits_equal(gx, ref_gx)
+    assert_bits_equal(gh0, ref_gh0)
+    assert_bits_equal(gc0, ref_gc0)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, grad in grads.items():
+        assert_bits_equal(grad, ref_grads[name])
+
+
+def test_lstm_is_bit_identical_to_the_batch_major_step_at_published_width():
+    rng = np.random.default_rng(7)
+    params = _cast_params(random_lstm_params(rng, 256, 512, scale=0.05), np.float32)
+    x = rng.standard_normal((1, 4, 256)).astype(np.float32)
+    h_seq, _ = lstm_sequence(x, params)
+    assert_bits_equal(h_seq, batch_major_lstm(x, params)[0])
+
+
 # ---------------------------------------------------------------------------
 # Dropout
 # ---------------------------------------------------------------------------
