@@ -15,8 +15,19 @@ Prints, for each end-to-end metric of ``BENCHMARK.json``, the median and
 quartiles of each side, the change's median over the parent's, the number
 of pairs the change won and the parent's interquartile range; and whether
 each side's ``*checksum`` details agree pair by pair.  ``--out`` writes the
-same as JSON, with every run's value.  Exits 1 if any run fails or reports
-``correct: false``.
+same as JSON, with every run's value, under ``workloads.<W>`` of the file,
+next to a ``host`` block: the machine, CPU count, Python, numpy, BLAS
+configuration and BLAS thread count every run reported in its environment
+record.  If the file exists, the workload is added to it (or replaced), so
+one file collects the pairs of several workloads:
+
+    for w in train lesson corpus; do
+        python3 scripts/bench_pairs.py --parent HEAD~1 --workload $w \
+            --seeds 401-410 --out BENCH.json
+    done
+
+Where runs disagree on a host key, it holds the list of their values and a
+warning is printed.  Exits 1 if any run fails or reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The keys of a run's environment record that describe the host rather than
+# the run; ``blas_threads`` is OPENBLAS_NUM_THREADS as the run saw it (the
+# benchmark pins OMP_NUM_THREADS and MKL_NUM_THREADS to the same value).
+HOST_KEYS = ("machine", "nproc", "cpus_usable", "python", "numpy", "openblas", "blas_threads")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -69,9 +84,29 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "metrics": {}, "checksums": {},
                 "error": f"exit {proc.returncode}"}
     result = json.loads(lines[-1])
-    detail = json.loads(lines[-2]).get("detail", {})
+    record = json.loads(lines[-2])
+    detail = record.get("detail", {})
     result["checksums"] = {k: v for k, v in detail.items() if k.endswith("checksum")}
+    env = record.get("environment", {})
+    result["host"] = {k: env.get(k) for k in HOST_KEYS}
     return result
+
+
+def merge_hosts(hosts: list[dict]) -> dict:
+    """One host block: each key's value, or the list of its distinct values
+    (with a warning) where the runs disagree."""
+    out = {}
+    for key in HOST_KEYS:
+        values = []
+        for h in hosts:
+            v = h.get(key)
+            for item in (v if isinstance(v, list) else [v]):
+                if item not in values:
+                    values.append(item)
+        out[key] = values[0] if len(values) == 1 else values
+        if len(values) > 1:
+            print(f"  warning: runs report different {key}: {values}", file=sys.stderr)
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -152,9 +187,14 @@ def main(argv=None) -> int:
     for seed, side in failures:
         print(f"  FAILED: seed {seed} {side}", file=sys.stderr)
 
+    host = merge_hosts([r["host"] for pair in runs for r in pair if "host" in r])
+
     if args.out:
-        record = {
-            "workload": args.workload, "parent": args.parent, "change": args.change,
+        collected = (json.loads(args.out.read_text(encoding="utf-8"))
+                     if args.out.exists() else {"host": host, "workloads": {}})
+        collected["host"] = merge_hosts([collected["host"], host])
+        collected["workloads"][args.workload] = {
+            "parent": args.parent, "change": args.change,
             "seconds": args.seconds, "seeds": args.seeds, "pairs": len(runs),
             "correct": {"parent": all(p["correct"] for p, _ in runs),
                         "change": all(c["correct"] for _, c in runs)},
@@ -164,7 +204,7 @@ def main(argv=None) -> int:
                           for seed, (p, c) in zip(args.seeds, runs) if checksums],
             "metrics": summary,
         }
-        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        args.out.write_text(json.dumps(collected, indent=1) + "\n", encoding="utf-8")
     return 1 if failures else 0
 
 

@@ -116,12 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_threads(threads: int | None):
-    if threads is None:
-        env = os.environ.get("ASLCHAMP_THREADS")
-        threads = int(env) if env else None
+    source = "--threads"
+    if threads is None and os.environ.get("ASLCHAMP_THREADS"):
+        source, env = "ASLCHAMP_THREADS", os.environ["ASLCHAMP_THREADS"]
+        try:
+            threads = int(env)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {env!r}") from None
     if threads is not None:
         if threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {threads}")
+            raise UsageError(f"{source} must be >= 1, got {threads}")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
 

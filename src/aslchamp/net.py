@@ -12,11 +12,13 @@ the layout its kernel uses: an LSTM layer is ``W_x (D, 4H)``, ``W_h (H, 4H)``,
 inference (``forward``, ``predict``, the validation pass, and
 ``evaluation.evaluate``) runs through ``infer``.
 
-The network's input is t_max rows long, but a batch may hold fewer: a
-(B, T, D) batch with T <= t_max stands for the batch zero-padded to t_max,
-rows T to t_max counting as zero.  ``EncodedDataset.batch`` trims each
-batch to its longest sample and ``predict`` passes a sample unpadded; the
-conv stages then skip the zero suffix, which changes no output bit.
+The network's input is t_max rows long, but a sample may hold fewer: a
+batch is a sequence of per-sample (T_i, D) feature matrices, T_i <= t_max,
+each standing for itself zero-padded to t_max.  ``EncodedDataset.batch``
+returns views of the samples' own matrices, with no copy and no padding,
+and ``predict`` passes a sample unpadded; a (B, T, D) array is such a
+sequence too.  The first conv multiplies only each sample's own rows and the
+conv stages skip the constant suffix, which changes no output bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +51,8 @@ from .nn_ops import (
     conv1d_forward,
     conv1d_backward,
     conv1d_out_len,
+    conv1d_ragged_backward,
+    conv1d_ragged_forward,
     dense_backward,
     dense_forward,
     dropout_backward,
@@ -313,29 +317,20 @@ def _coerce_batch(net: ChampNet, batch) -> np.ndarray:
     return x.astype(cfg.np_dtype, copy=False)
 
 
-def _conv_stage(x: np.ndarray, fill, length: int, kernels: np.ndarray, bias: np.ndarray,
-                pool: int):
-    """One conv + tanh + pool stage over a sequence of ``length`` rows whose
-    first rows are ``x`` (B, n, D) and whose every later row is ``fill``.
+def _stage_input_len(n: int, length: int, k: int, pool: int) -> int:
+    """The input rows a conv + tanh + pool stage over ``length`` rows reads
+    when only its first ``n`` rows vary and every later row is one constant
+    row.
 
-    A conv window wholly inside the ``fill`` rows outputs one constant row,
+    A conv window wholly inside the constant rows outputs one constant row,
     and so do the tanh and the pool after it; the pool's argmax there is the
     window's first index.  So the stage computes the pooled rows that can
-    differ plus one constant row, extending ``x`` with ``fill`` only as far
-    as those rows read; each computed row equals the full-length stage's
-    row bit for bit.  Returns (x_ext, tanh_out, pooled, argmax); every pooled
-    row past the returned ones equals its last row.
+    differ plus one constant row, each equal to the full-length stage's row
+    bit for bit, and every pooled row past them equals its last row.
     """
-    b, n, d = x.shape
-    k = kernels.shape[1]
     t_pool = conv1d_out_len(conv1d_out_len(length, k, 1), pool, pool)
     stored = min(-(-n // pool) + 1, t_pool)
-    need = length if stored == t_pool else stored * pool + k - 1
-    if need > n:
-        x = np.concatenate([x, np.broadcast_to(fill, (b, need - n, d))], axis=1)
-    t = np.tanh(conv1d_forward(x, kernels, bias))
-    pooled, arg = maxpool1d_forward(t, pool, pool)
-    return x, t, pooled, arg
+    return length if stored == t_pool else stored * pool + k - 1
 
 
 def _repeat_last(x: np.ndarray, length: int) -> np.ndarray:
@@ -349,9 +344,8 @@ def _repeat_last(x: np.ndarray, length: int) -> np.ndarray:
 def _fold_tail(g: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` rows of ``g``, the last of them plus every later row.
 
-    The adjoint of ``_repeat_last`` (and of the ``fill`` extension in
-    ``_conv_stage``): rows that are copies of one row pass their summed
-    gradient back to it.
+    The adjoint of ``_repeat_last``: rows that are copies of one row pass
+    their summed gradient back to it.
     """
     if g.shape[1] == n:
         return g
@@ -360,28 +354,33 @@ def _fold_tail(g: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _forward_full(net: ChampNet, x: np.ndarray, train: bool,
+def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
                   rng: np.random.Generator | None):
     """Returns (logits, probs, cache).  The softmax is computed in float64.
 
-    ``x`` is (B, T, D) with T <= t_max; rows T to t_max count as zero.  The
-    conv stages skip that suffix (see ``_conv_stage``) and the LSTMs run
-    over every pooled row, so the result equals that of the zero-padded
-    (B, t_max, D) batch bit for bit.
+    ``xs`` is a sequence of B (T_i, D) feature matrices with T_i <= t_max,
+    or a (B, T, D) array; rows T_i to t_max count as zero.  Stage 1
+    multiplies each sample's own rows only (``conv1d_ragged_forward``), both
+    conv stages skip the constant suffix (``_stage_input_len``) and the
+    LSTMs run over every pooled row, so the result equals that of the
+    zero-padded (B, t_max, D) batch bit for bit.
     """
     cfg = net.config
     p = net.params
     cache: dict[str, object] = {}
+    k, pool = cfg.kernel_size, cfg.pool
 
-    x1, t1, pool1, arg1 = _conv_stage(x, x.dtype.type(0), cfg.t_max,
-                                      p["conv1/K"], p["conv1/b"], cfg.pool)
-    x2, t2, pool2, arg2 = _conv_stage(pool1, pool1[:, -1:], cfg.pooled_len(1),
-                                      p["conv2/K"], p["conv2/b"], cfg.pool)
+    need1 = _stage_input_len(max(len(x) for x in xs), cfg.t_max, k, pool)
+    t1 = np.tanh(conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1))
+    pool1, arg1 = maxpool1d_forward(t1, pool, pool)
+    x2 = _repeat_last(pool1, _stage_input_len(pool1.shape[1], cfg.pooled_len(1), k, pool))
+    t2 = np.tanh(conv1d_forward(x2, p["conv2/K"], p["conv2/b"]))
+    pool2, arg2 = maxpool1d_forward(t2, pool, pool)
     h1, lstm1_cache = lstm_sequence(_repeat_last(pool2, cfg.pooled_len(2)), _lstm(p, "lstm1"))
     h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"))
     flat = h2.reshape(h2.shape[0], -1)
 
-    cache.update(x1=x1, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2,
+    cache.update(xs=xs, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2,
                  lstm1=lstm1_cache, lstm2=lstm2_cache, h2_shape=h2.shape)
 
     act = flat
@@ -401,8 +400,10 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     """Parameter gradients of the batch ``_forward_full`` cached.
 
     Rows a conv stage skipped are copies of its last stored rows, so their
-    gradients reach the stage summed into those rows (``_fold_tail``): the
-    same sums as the full-length pass, added in another order.
+    gradients reach the stage summed into those rows (``_fold_tail``), and
+    conv1's kernel gradient sums each sample's own rows only
+    (``conv1d_ragged_backward``): the same sums as the full-length pass,
+    added in another order.
     """
     cfg = net.config
     p = net.params
@@ -427,15 +428,15 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     g = _fold_tail(g, cache["arg1"].shape[1])
     g = maxpool1d_backward(g, cache["arg1"], cache["t1"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t1"], g)
-    _, grads["conv1/K"], grads["conv1/b"] = conv1d_backward(
-        cache["x1"], p["conv1/K"], g, need_input_grad=False)
+    grads["conv1/K"], grads["conv1/b"] = conv1d_ragged_backward(cache["xs"], p["conv1/K"], g)
     return grads
 
 
-def infer(net: ChampNet, chunks: Iterable[np.ndarray]) -> np.ndarray:
+def infer(net: ChampNet, chunks: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
     """Inference-mode class probabilities (float64), one row per sample, for
-    (B, T, D) batches (T <= t_max, rows T to t_max count as zero) taken one
-    chunk at a time.  The one inference path: ``forward``, ``predict``,
+    batches taken one chunk at a time: each a sequence of (T_i, D) feature
+    matrices or a (B, T, D) array (T_i <= t_max, rows T_i to t_max count as
+    zero).  The one inference path: ``forward``, ``predict``,
     validation and ``evaluate`` all end here.  Does not check for non-finite
     values (``forward`` does).
     """
@@ -471,7 +472,11 @@ def forward(net: ChampNet, batch, mode: str = "infer",
 
 @dataclass
 class EncodedDataset:
-    """Per-sample feature matrices (unpadded) with integer class targets."""
+    """Per-sample feature matrices (unpadded) with integer class targets.
+
+    A batch of it is a list of the samples' own matrices (views, cut at
+    t_max), which the network reads as they are: no batch is ever padded.
+    """
 
     features: list[np.ndarray]
     y: np.ndarray
@@ -480,24 +485,17 @@ class EncodedDataset:
     def __len__(self):
         return len(self.features)
 
-    def chunks(self, t_max: int, dtype, size: int = 256) -> Iterator[np.ndarray]:
+    def chunks(self, t_max: int, dtype, size: int = 256) -> Iterator[list[np.ndarray]]:
         """Every sample in order, as ``batch`` gives them, ``size`` per batch."""
         n = len(self)
         for start in range(0, n, size):
             yield self.batch(range(start, min(start + size, n)), t_max, dtype)
 
-    def batch(self, indices, t_max: int, dtype) -> np.ndarray:
-        """The samples at ``indices`` as one (B, T, D) batch, T = min(t_max,
-        longest of them): shorter samples are zero-padded to T, longer ones
-        truncated, and the network counts rows T to t_max as zero."""
-        d = self.features[0].shape[1]
-        t_batch = min(t_max, max((self.features[i].shape[0] for i in indices), default=t_max))
-        out = np.zeros((len(indices), t_batch, d), dtype=dtype)
-        for row, idx in enumerate(indices):
-            f = self.features[idx]
-            t = min(f.shape[0], t_batch)
-            out[row, :t] = f[:t]
-        return out
+    def batch(self, indices, t_max: int, dtype) -> list[np.ndarray]:
+        """The samples at ``indices``, each its first min(T_i, t_max) rows:
+        views of the stored matrices (copies only if ``dtype`` differs).
+        The network counts rows T_i to t_max as zero."""
+        return [self.features[i][:t_max].astype(dtype, copy=False) for i in indices]
 
 
 def encode_gesture_dataset(ds: GestureDataset, cfg: NetConfig) -> EncodedDataset:

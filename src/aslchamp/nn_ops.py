@@ -5,6 +5,10 @@ be checked against brute-force oracles and central finite differences.  Arrays
 are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Time-major layouts: a single sequence is (T, D) and a
 batch is (B, T, D).  Ops accept either and preserve which one they were given.
+The first convolution also takes a ragged batch, a sequence of (T_i, D)
+samples standing for the batch zero-padded to a common length
+(``conv1d_ragged_forward`` and its parameter gradient): only each sample's
+own rows are multiplied.
 LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
 layer, and every GEMM runs on that layout.  ``lstm_sequence`` projects the
 whole input through W_x in one (T*B, D) x (D, 4H) GEMM before the time
@@ -108,6 +112,23 @@ def _check_conv_shapes(x, kernels, bias, stride):
         raise ShapeMismatch(f"sequence length {x.shape[-2]} shorter than kernel {k}")
 
 
+def _tap_matrix(kernels: np.ndarray, dtype) -> np.ndarray:
+    """kernels (F, k, D_in) as one (D_in, k*F) matrix, column a*F + f tap a of filter f."""
+    f, k, d_in = kernels.shape
+    return kernels.transpose(2, 1, 0).reshape(d_in, k * f).astype(dtype)
+
+
+def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
+    """out[b, t, f] = bias[f] + sum_a y[b, t*stride + a, a, f], from the
+    products y (B, T, k, F) of every input row with every tap."""
+    k = y.shape[2]
+    last = (out.shape[1] - 1) * stride + 1
+    out[...] = bias
+    for a in range(k):
+        out += y[:, a:a + last:stride, a, :]
+    return out
+
+
 def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
                    stride: int = 1) -> np.ndarray:
     """out[t, f] = bias[f] + sum_{a, d} x[t*stride + a, d] * kernels[f, a, d]."""
@@ -115,23 +136,16 @@ def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     xb, single = _as_batch(x)
     f, k, d_in = kernels.shape
     b, t, _ = xb.shape
-    t_out = conv1d_out_len(t, k, stride)
     # one GEMM against all taps at once, then gather the shifted tap planes
-    k2 = kernels.transpose(2, 1, 0).reshape(d_in, k * f).astype(xb.dtype)  # (D, k*F)
-    y = (xb.reshape(b * t, d_in) @ k2).reshape(b, t, k, f)
-    out = np.broadcast_to(bias.astype(xb.dtype), (b, t_out, f)).copy()
-    last = (t_out - 1) * stride + 1
-    for a in range(k):
-        out += y[:, a:a + last:stride, a, :]
+    y = (xb.reshape(b * t, d_in) @ _tap_matrix(kernels, xb.dtype)).reshape(b, t, k, f)
+    out = np.empty((b, conv1d_out_len(t, k, stride), f), dtype=xb.dtype)
+    _sum_taps(y, bias, out, stride)
     return out[0] if single else out
 
 
 def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
-                    stride: int = 1, need_input_grad: bool = True):
-    """Adjoint of conv1d_forward; returns (grad_x, grad_kernels, grad_bias).
-
-    grad_x is None when need_input_grad is False (first-layer shortcut).
-    """
+                    stride: int = 1):
+    """Adjoint of conv1d_forward; returns (grad_x, grad_kernels, grad_bias)."""
     f, k, d_in = kernels.shape
     xb, single = _as_batch(x)
     gb, gsingle = _as_batch(grad_out)
@@ -153,13 +167,83 @@ def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     gk_flat = g2.T @ xb.reshape(b * t, d_in)  # (k*F, D)
     grad_k = gk_flat.reshape(k, f, d_in).transpose(1, 0, 2).astype(kernels.dtype, copy=False)
 
-    grad_x = None
-    if need_input_grad:
-        k2 = kernels.transpose(1, 0, 2).reshape(k * f, d_in).astype(gb.dtype)  # (k*F, D)
-        grad_x = (g2 @ k2).reshape(b, t, d_in)
-        if single:
-            grad_x = grad_x[0]
-    return grad_x, grad_k, grad_bias
+    k2 = kernels.transpose(1, 0, 2).reshape(k * f, d_in).astype(gb.dtype)  # (k*F, D)
+    grad_x = (g2 @ k2).reshape(b, t, d_in)
+    return (grad_x[0] if single else grad_x), grad_k, grad_bias
+
+
+def _check_ragged(xs, kernels: np.ndarray, length: int):
+    if kernels.ndim != 3:
+        raise ShapeMismatch(f"kernels must be (F, k, D_in), got {kernels.shape}")
+    _, k, d_in = kernels.shape
+    if length < k:
+        raise ShapeMismatch(f"sequence length {length} shorter than kernel {k}")
+    if len(xs) == 0:
+        raise ShapeMismatch("a ragged batch needs at least one sample")
+    for x in xs:
+        if x.ndim != 2 or x.shape[0] > length or x.shape[1] != d_in:
+            raise ShapeMismatch(f"sample shape {x.shape} != (T <= {length}, {d_in})")
+
+
+def conv1d_ragged_forward(xs, kernels: np.ndarray, bias: np.ndarray,
+                          length: int) -> np.ndarray:
+    """``conv1d_forward`` (stride 1) of the (B, length, D) batch whose sample
+    i is xs[i], a (T_i, D) array with T_i <= length, followed by zero rows.
+
+    Sample by sample, its own rows go through the tap GEMM into one reused
+    (length, k*F) buffer whose other rows are set to zero, the product of a
+    zero row, and the taps are summed from there; the padding is never
+    built or multiplied.  Every row of the GEMM is the one the padded
+    batch's GEMM gives, so the output equals conv1d_forward on the
+    zero-padded batch bit for bit.  ``xs`` may also be a (B, T, D) array.
+    """
+    _check_ragged(xs, kernels, length)
+    if bias.shape != (kernels.shape[0],):
+        raise ShapeMismatch(f"bias shape {bias.shape} != ({kernels.shape[0]},)")
+    f, k, d_in = kernels.shape
+    dtype = xs[0].dtype
+    k2 = _tap_matrix(kernels, dtype)
+    out = np.empty((len(xs), length - k + 1, f), dtype=dtype)
+    y = np.empty((length, k * f), dtype=dtype)
+    for row, x in zip(out, xs):
+        if len(x) == 1 and length > 1:
+            # numpy hands a one-row product to GEMV, which sums in another
+            # order than GEMM; a zero second row keeps it a GEMM
+            x = np.concatenate([x, np.zeros_like(x)])
+        np.matmul(x, k2, out=y[:len(x)])
+        y[len(x):] = 0
+        _sum_taps(y.reshape(1, length, k, f), bias, row[None], 1)
+    return out
+
+
+def conv1d_ragged_backward(xs, kernels: np.ndarray, grad_out: np.ndarray):
+    """Adjoint of ``conv1d_ragged_forward`` in its parameters; returns
+    (grad_kernels, grad_bias).
+
+    The zero rows past each sample add nothing to the kernel gradient, so it
+    is formed from each sample's own rows, sum_i g_i^T x_i over the tap
+    planes g_i of sample i's rows: the padded batch's GEMM, summed in
+    another order.  grad_out is (B, length - k + 1, F).
+    """
+    f, k, d_in = kernels.shape
+    b, t_out, gf = grad_out.shape
+    length = t_out + k - 1
+    _check_ragged(xs, kernels, length)
+    if b != len(xs) or gf != f:
+        raise ShapeMismatch(f"grad_out shape {grad_out.shape} inconsistent with "
+                            f"{len(xs)} samples and kernels {kernels.shape}")
+    grad_bias = grad_out.sum(axis=(0, 1), dtype=np.float64).astype(kernels.dtype)
+    planes = np.empty((length, k, f), dtype=grad_out.dtype)  # planes[s, a] meets x row s
+    gk_flat = np.zeros((k * f, d_in), dtype=grad_out.dtype)
+    for g, x in zip(grad_out, xs):
+        n = len(x)
+        planes[:n] = 0
+        for a in range(min(k, n)):
+            m = min(n, a + t_out)
+            planes[a:m, a] = g[:m - a]
+        gk_flat += planes[:n].reshape(n, k * f).T @ x
+    grad_k = gk_flat.reshape(k, f, d_in).transpose(1, 0, 2).astype(kernels.dtype, copy=False)
+    return grad_k, grad_bias
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI runs with miniature datasets and networks."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -17,12 +18,13 @@ TRAIN_MINI = ["train", "--epochs", "2", "--scale", "1/64", "--t-max", "120",
               "--batch-size", "8", "--split-unit", "sample"]
 
 
-def run_cli(*args, threads=None):
+def run_cli(*args, threads=None, env=None):
     cmd = [sys.executable, "-m", "aslchamp.cli"]
     if threads is not None:
         cmd += ["--threads", str(threads)]
     cmd += [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                          env=None if env is None else {**os.environ, **env})
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +267,15 @@ def test_lesson_sim_perfect_and_hopeless(tmp_path):
 def test_lesson_sim_bad_sign_is_usage_error(workspace):
     r = run_cli("lesson-sim", "--ckpt", workspace["ckpt"], "--signs", "ESPRESSO")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_bad_thread_variable_is_usage_error(value, tmp_path):
+    r = run_cli("eval", "--data", tmp_path / "x", "--ckpt", tmp_path / "y",
+                env={"ASLCHAMP_THREADS": value})
+    assert r.returncode == 2, r.stderr
+    assert "ASLCHAMP_THREADS" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_unknown_command_is_usage_error():

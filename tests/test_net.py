@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aslchamp import gesture
+from aslchamp import gesture, nn_ops, synth
 from aslchamp.net import (
     ChampNet,
     ClassMismatch,
@@ -16,6 +16,7 @@ from aslchamp.net import (
     build_network,
     encode_gesture_dataset,
     forward,
+    infer,
     param_count,
     predict,
     train,
@@ -258,12 +259,13 @@ def drawn_head_network(cfg, seed=9):
 
 @pytest.mark.parametrize("lengths", [(1, 6, 11), (1, 11, 32)])
 def test_end_to_end_gradients_on_a_ragged_padded_batch(lengths):
-    # with T < t_max the conv stages skip the suffix and fold its gradient
+    # conv1 multiplies each sample's own rows, the conv stages skip the
+    # suffix and fold its gradient
     cfg = length_cfg()
     net = drawn_head_network(cfg)
     data = ragged_dataset(lengths, cfg.feature_dim)
     x = data.batch(range(3), cfg.t_max, cfg.np_dtype)
-    assert x.shape == (3, max(lengths), cfg.feature_dim)
+    assert [s.shape for s in x] == [(n, cfg.feature_dim) for n in lengths]
     assert _worst_fd_error(net, x, data.y) < 1e-3
 
 
@@ -275,19 +277,38 @@ def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
         net = drawn_head_network(cfg)
         data = ragged_dataset(lengths, cfg.feature_dim)
         x = data.batch(range(len(lengths)), cfg.t_max, cfg.np_dtype)
-        assert x.shape[1] == min(cfg.t_max, max(lengths))
-        padded = np.zeros((len(lengths), cfg.t_max, cfg.feature_dim), dtype=x.dtype)
-        padded[:, :x.shape[1]] = x
+        assert [len(s) for s in x] == [min(cfg.t_max, n) for n in lengths]
+        padded = np.zeros((len(lengths), cfg.t_max, cfg.feature_dim), dtype=cfg.np_dtype)
+        for row, s in zip(padded, x):
+            row[:len(s)] = s
         _, probs, cache, grad_logits = _batch_loss(net, x, data.y)
         _, probs_padded, cache_padded, grad_logits_padded = _batch_loss(net, padded, data.y)
         np.testing.assert_array_equal(probs, probs_padded)
-        np.testing.assert_array_equal(forward(net, x), forward(net, padded))
+        np.testing.assert_array_equal(infer(net, [x]), forward(net, padded))
         if dtype == "float64":
             grads = _backward_full(net, cache, grad_logits)
             grads_padded = _backward_full(net, cache_padded, grad_logits_padded)
             for key, want in grads_padded.items():
                 scale = max(float(np.abs(want).max()), 1e-300)
                 assert float(np.abs(grads[key] - want).max()) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_batch_is_views_of_the_samples_cut_at_t_max(dtype):
+    cfg = length_cfg(dtype)
+    lengths = (40, 4, 32, 1)
+    data = ragged_dataset(lengths, cfg.feature_dim)
+    data.features = [f.astype(cfg.np_dtype) for f in data.features]
+    order = [2, 0, 3, 1]
+    x = data.batch(order, cfg.t_max, cfg.np_dtype)
+    assert [len(s) for s in x] == [min(lengths[i], cfg.t_max) for i in order]
+    for s, i in zip(x, order):
+        assert np.shares_memory(s, data.features[i])
+        np.testing.assert_array_equal(s, data.features[i][:cfg.t_max])
+    chunks = list(data.chunks(cfg.t_max, cfg.np_dtype, size=3))
+    assert [len(c) for c in chunks] == [3, 1]
+    for s, f in zip(chunks[0] + chunks[1], data.features):
+        assert np.shares_memory(s, f) and len(s) == min(len(f), cfg.t_max)
 
 
 def test_forward_accepts_any_length_up_to_t_max(rng):
@@ -308,6 +329,80 @@ def test_predict_equals_forward_on_the_zero_padded_sample(rng):
         got = predict(net, sample).distribution
         assert len(set(got.tolist())) > 1
         np.testing.assert_array_equal(got, want)
+
+
+def zero_padded(samples, t_max, dtype):
+    """The (B, t_max, D) batch the ragged samples stand for."""
+    out = np.zeros((len(samples), t_max, samples[0].shape[1]), dtype=dtype)
+    for row, s in zip(out, samples):
+        row[:len(s)] = s[:t_max]
+    return out
+
+
+@pytest.mark.parametrize("lengths", [(40, 4, 2), (1, 9, 16), (32, 32), (1,)])
+@pytest.mark.parametrize("length", [32, 20])
+def test_ragged_conv1_equals_conv1d_on_the_zero_padded_batch(lengths, length):
+    # the samples are batch() views; the first is longer than t_max = 32
+    for dtype in ("float32", "float64"):
+        cfg = length_cfg(dtype)
+        data = ragged_dataset(lengths, cfg.feature_dim, seed=len(lengths))
+        xs = [s[:length] for s in data.batch(range(len(lengths)), cfg.t_max, cfg.np_dtype)]
+        padded = zero_padded(xs, length, cfg.np_dtype)
+        rng = np.random.default_rng(1)
+        kernels = rng.standard_normal((7, 3, cfg.feature_dim)).astype(cfg.np_dtype)
+        bias = rng.standard_normal(7).astype(cfg.np_dtype)
+        got = nn_ops.conv1d_ragged_forward(xs, kernels, bias, length)
+        want = nn_ops.conv1d_forward(padded, kernels, bias)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        if dtype == "float64":
+            g = rng.standard_normal(want.shape)
+            grad_k, grad_b = nn_ops.conv1d_ragged_backward(xs, kernels, g)
+            _, want_k, want_b = nn_ops.conv1d_backward(padded, kernels, g)
+            assert float(np.abs(grad_k - want_k).max()) <= 1e-12 * float(np.abs(want_k).max())
+            np.testing.assert_array_equal(grad_b, want_b)
+
+
+def test_ragged_conv1_refuses_inconsistent_samples():
+    kernels, bias = np.zeros((4, 3, 5)), np.zeros(4)
+    for xs, length in (([np.zeros((9, 5))], 8), ([np.zeros((4, 6))], 8),
+                       ([np.zeros(5)], 8), ([], 8), ([np.zeros((2, 5))], 2)):
+        with pytest.raises(ShapeMismatch):
+            nn_ops.conv1d_ragged_forward(xs, kernels, bias, length)
+    with pytest.raises(ShapeMismatch):
+        nn_ops.conv1d_ragged_backward([np.zeros((4, 5))], kernels, np.zeros((2, 6, 4)))
+
+
+def desk_samples():
+    """Synthetic captures of 73, 180 and (at 180 Hz) about 1080 frames, the
+    last longer than t_max = 651."""
+    out = []
+    for k, (duration, rate) in enumerate(((1.0, 72.0), (3.0, 72.0), (6.0, 180.0))):
+        spec = synth.DatasetSpec(classes=("COFFEE", "TEA"), signers=1,
+                                 repetitions_per_class=1, duration_s=duration,
+                                 frame_rate_hz=rate, master_seed=30 + k)
+        out += synth.generate_dataset(spec).samples
+    return out
+
+
+@pytest.mark.parametrize("scale, dtype", [(Fraction(1, 16), "float32"),
+                                          (Fraction(1, 16), "float64"),
+                                          (Fraction(1), "float32")])
+def test_predict_and_chunked_infer_equal_the_zero_padded_batch(scale, dtype):
+    # the acceptance config and the published widths: a ragged batch gives
+    # the probabilities of the (B, t_max, D) batch bit for bit
+    cfg = NetConfig(scale_factor=scale, dtype=dtype)
+    net = drawn_head_network(cfg, seed=5)
+    samples = desk_samples()
+    data = encode_gesture_dataset(gesture.GestureDataset(samples=samples), cfg)
+    assert max(len(f) for f in data.features) > cfg.t_max
+    padded = zero_padded(data.features, cfg.t_max, cfg.np_dtype)
+    want = forward(net, padded)
+    assert len(set(want[0].tolist())) > 1
+    np.testing.assert_array_equal(infer(net, data.chunks(cfg.t_max, cfg.np_dtype, 4)), want)
+    for i, sample in enumerate(samples):  # B = 1 sums in other orders than B = 6
+        np.testing.assert_array_equal(predict(net, sample).distribution,
+                                      forward(net, padded[i])[0])
 
 
 # ---------------------------------------------------------------------------
