@@ -278,9 +278,7 @@ def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
         data = ragged_dataset(lengths, cfg.feature_dim)
         x = data.batch(range(len(lengths)), cfg.t_max, cfg.np_dtype)
         assert [len(s) for s in x] == [min(cfg.t_max, n) for n in lengths]
-        padded = np.zeros((len(lengths), cfg.t_max, cfg.feature_dim), dtype=cfg.np_dtype)
-        for row, s in zip(padded, x):
-            row[:len(s)] = s
+        padded = zero_padded(x, cfg.t_max, cfg.np_dtype)
         _, probs, cache, grad_logits = _batch_loss(net, x, data.y)
         _, probs_padded, cache_padded, grad_logits_padded = _batch_loss(net, padded, data.y)
         np.testing.assert_array_equal(probs, probs_padded)
@@ -342,7 +340,7 @@ def zero_padded(samples, t_max, dtype):
 @pytest.mark.parametrize("lengths", [(40, 4, 2), (1, 9, 16), (32, 32), (1,)])
 @pytest.mark.parametrize("length", [32, 20])
 def test_ragged_conv1_equals_conv1d_on_the_zero_padded_batch(lengths, length):
-    # the samples are batch() views; the first is longer than t_max = 32
+    # the samples are batch() views, a sample of 40 rows cut at t_max = 32
     for dtype in ("float32", "float64"):
         cfg = length_cfg(dtype)
         data = ragged_dataset(lengths, cfg.feature_dim, seed=len(lengths))
@@ -374,8 +372,8 @@ def test_ragged_conv1_refuses_inconsistent_samples():
 
 
 def desk_samples():
-    """Synthetic captures of 73, 180 and (at 180 Hz) about 1080 frames, the
-    last longer than t_max = 651."""
+    """Synthetic captures of 73, 180 and (at 180 Hz) 915 frames, the last
+    longer than t_max = 651."""
     out = []
     for k, (duration, rate) in enumerate(((1.0, 72.0), (3.0, 72.0), (6.0, 180.0))):
         spec = synth.DatasetSpec(classes=("COFFEE", "TEA"), signers=1,
