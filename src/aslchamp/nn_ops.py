@@ -118,15 +118,14 @@ def _tap_matrix(kernels: np.ndarray, dtype) -> np.ndarray:
     return kernels.transpose(2, 1, 0).reshape(d_in, k * f).astype(dtype)
 
 
-def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
-    """out[b, t, f] = bias[f] + sum_a y[b, t*stride + a, a, f], from the
-    products y (B, T, k, F) of every input row with every tap."""
+def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray, stride: int):
+    """Writes out[b, t, f] = bias[f] + sum_a y[b, t*stride + a, a, f], from
+    the products y (B, T, k, F) of every input row with every tap."""
     k = y.shape[2]
     last = (out.shape[1] - 1) * stride + 1
     out[...] = bias
     for a in range(k):
         out += y[:, a:a + last:stride, a, :]
-    return out
 
 
 def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
