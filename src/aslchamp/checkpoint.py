@@ -17,7 +17,8 @@ and ``adam.v/<name>``.  Version 2 stores each LSTM layer as the four fused
 arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``, ``b_x (4H,)`` and ``b_h (4H,)``;
 version 1 files (16 per-gate arrays per layer) are refused.
 
-Loading verifies magic, version, and checksum, and that the manifest names
+Loading verifies magic, version, and checksum, that the config's classes
+are distinct ``gesture.VOCABULARY`` signs, and that the manifest names
 exactly the arrays, with the shapes, that the header's config implies (the
 header is outside the checksum); a round-trip preserves every parameter bit,
 so predictions after load are identical.
@@ -30,6 +31,7 @@ import os
 import numpy as np
 
 from .framing import FrameReader, write_frame
+from .gesture import VOCABULARY
 from .net import ChampNet, NetConfig, TrainState, _param_shapes
 from .nn_ops import AdamState
 
@@ -97,6 +99,11 @@ def load_checkpoint_full(path: str | os.PathLike):
     cfg = NetConfig.from_obj(header["config"])
     if cfg.dtype != header["dtype"]:
         raise VersionMismatch("header dtype disagrees with config dtype")
+    unknown = set(cfg.classes) - {s.name for s in VOCABULARY}
+    if unknown:
+        raise VersionMismatch(f"config names classes outside the vocabulary: {sorted(unknown)}")
+    if len(set(cfg.classes)) != len(cfg.classes):
+        raise VersionMismatch("config names a class more than once")
     shapes = _param_shapes(cfg)
     expected = [(name, list(shape)) for name, shape in shapes.items()]
     if header.get("train_state") is not None:

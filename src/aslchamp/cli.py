@@ -36,15 +36,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {e}")
 
 
-def _fractions3(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated fractions")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
-    return vals
+def _numbers(count: int):
+    """argparse type: exactly ``count`` comma-separated numbers."""
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split(",")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers")
+        try:
+            return tuple(float(p) for p in parts)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, default=0.004)
     p.add_argument("--offset-std", type=float, default=0.03)
     p.add_argument("--jitter-deg", type=float, default=5.0)
-    p.add_argument("--speed-range", type=_fractions3, default=None,
+    p.add_argument("--speed-range", type=_numbers(2), default=None,
                    help=argparse.SUPPRESS)
 
     p = sub.add_parser("train", help="train a recognizer on a dataset file")
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
     p.add_argument("--dropout", type=float, default=0.6)
     p.add_argument("--split-unit", choices=("sample", "signer"), default="signer")
-    p.add_argument("--fractions", type=_fractions3, default=(0.8, 0.1, 0.1))
+    p.add_argument("--fractions", type=_numbers(3), default=(0.8, 0.1, 0.1))
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--resume", action="store_true",
                    help="continue training from the checkpoint at --ckpt")
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", choices=("all", "train", "val", "test"), default="all",
                    help="evaluate everything or one split of the file")
     p.add_argument("--split-unit", choices=("sample", "signer"), default="signer")
-    p.add_argument("--fractions", type=_fractions3, default=(0.8, 0.1, 0.1))
+    p.add_argument("--fractions", type=_numbers(3), default=(0.8, 0.1, 0.1))
     p.add_argument("--csv", default=None, help="also write the confusion matrix as CSV")
 
     p = sub.add_parser("recognize", help="classify the samples in a dataset file")
@@ -150,7 +152,7 @@ def cmd_gen_data(args) -> int:
     if classes is not None:
         kw["classes"] = classes
     if args.speed_range is not None:
-        kw["speed_range"] = tuple(args.speed_range[:2])
+        kw["speed_range"] = args.speed_range
     try:
         spec = synth.DatasetSpec(**kw)
     except ValueError as e:
@@ -186,8 +188,7 @@ def cmd_train(args) -> int:
     from .seeds import STAGE_SPLIT, STAGE_TRAIN, child_seed
 
     ds = _load_dataset(args.data)
-    class_names = tuple(sorted({s.label.name for s in ds.samples},
-                               key=lambda n: _class_code(n)))
+    class_names = tuple(sc.name for sc in sorted({s.label for s in ds.samples}))
 
     resume_state = None
     if args.resume:
@@ -252,14 +253,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _class_code(name: str) -> int:
-    from .gesture import sign_class
-    try:
-        return sign_class(name).code
-    except KeyError:
-        return 10_000
-
-
 def cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
     from .evaluation import SplitSpec, evaluate, render_metrics, split_dataset
@@ -318,7 +311,7 @@ def cmd_lesson_sim(args) -> int:
         transcript_to_jsonl,
     )
     from .seeds import STAGE_LESSON, child_seed
-    from .synth import MissingTemplate, default_templates
+    from .synth import default_templates
 
     network = load_checkpoint(args.ckpt)
     try:
@@ -333,12 +326,7 @@ def cmd_lesson_sim(args) -> int:
                                  seed=child_seed(args.seed, STAGE_LESSON))
     except ValueError as e:
         raise UsageError(str(e))
-    try:
-        final = simulate_learner(plan, net_classifier(network), profile,
-                                 default_templates())
-    except MissingTemplate as e:
-        print(f"missing template: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    final = simulate_learner(plan, net_classifier(network), profile, default_templates())
 
     attempts: dict[str, int] = {}
     for ev in final.transcript:
@@ -382,9 +370,6 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -60,24 +60,15 @@ class SignClass:
     name: str
 
 
-_REGISTRY: dict[str, SignClass] = {}
-
-
-def _register(name: str, code: int) -> SignClass:
-    sc = SignClass(code=code, name=name)
-    _REGISTRY[name] = sc
-    return sc
-
-
-COFFEE = _register("COFFEE", 0)
-TEA = _register("TEA", 1)
-MILK = _register("MILK", 2)
-WHIPPED_CREAM = _register("WHIPPED_CREAM", 3)
-MUFFIN = _register("MUFFIN", 4)
-COOKIE = _register("COOKIE", 5)
-CUP = _register("CUP", 6)
-STRAW = _register("STRAW", 7)
-MONEY = _register("MONEY", 8)
+COFFEE = SignClass(0, "COFFEE")
+TEA = SignClass(1, "TEA")
+MILK = SignClass(2, "MILK")
+WHIPPED_CREAM = SignClass(3, "WHIPPED_CREAM")
+MUFFIN = SignClass(4, "MUFFIN")
+COOKIE = SignClass(5, "COOKIE")
+CUP = SignClass(6, "CUP")
+STRAW = SignClass(7, "STRAW")
+MONEY = SignClass(8, "MONEY")
 
 CANONICAL_SIGNS: tuple[SignClass, ...] = (
     COFFEE, TEA, MILK, WHIPPED_CREAM, MUFFIN, COOKIE, CUP, STRAW, MONEY,
@@ -87,22 +78,19 @@ CANONICAL_NAMES: tuple[str, ...] = tuple(s.name for s in CANONICAL_SIGNS)
 # The synthetic control class (COFFEE with the circle run backwards) lives
 # here with the vocabulary, not in synth, so that every reader of datasets
 # and checkpoints knows it whether or not the generator was imported.
-COFFEE_REVERSED = _register("COFFEE_REVERSED", 9)
+COFFEE_REVERSED = SignClass(9, "COFFEE_REVERSED")
+
+# Every class the recognizer knows, in code order; fixed at import.
+VOCABULARY: tuple[SignClass, ...] = CANONICAL_SIGNS + (COFFEE_REVERSED,)
+_BY_NAME: dict[str, SignClass] = {s.name: s for s in VOCABULARY}
 
 
 def sign_class(name: str) -> SignClass:
-    """Look up a registered sign by name (canonical or control class)."""
+    """Look up a vocabulary sign by name (canonical or the control class)."""
     try:
-        return _REGISTRY[name]
+        return _BY_NAME[name]
     except KeyError:
         raise KeyError(f"unknown sign class {name!r}") from None
-
-
-def register_control_class(name: str) -> SignClass:
-    """Register a synthetic control class (codes 9, 10, ...); idempotent."""
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    return _register(name, max(s.code for s in _REGISTRY.values()) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ perturbation compute whole (T, 2, ...) sample arrays; no step runs per frame.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,10 +28,8 @@ from .gesture import (
     SignClass,
     mirror_handedness,
     require_valid,
-    register_control_class,
 )
 
-TEMPLATE_MAGIC = "ASLCHAMP-TPL"
 TEMPLATE_VERSION = 1
 
 
@@ -94,23 +90,6 @@ class PathSpec:
             s = np.abs(np.sin(math.pi * self.taps * u))
             return origin[None, :] + self.radius * s[:, None] * np.asarray(self.axis_u)[None, :]
         raise InvalidTemplate(f"unknown path kind {self.kind!r}")
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind, "origin": list(self.origin),
-            "axis_u": list(self.axis_u), "axis_v": list(self.axis_v),
-            "radius": self.radius, "turns": self.turns, "phase_deg": self.phase_deg,
-            "waypoints": [list(w) for w in self.waypoints], "taps": self.taps,
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> "PathSpec":
-        return PathSpec(
-            kind=obj["kind"], origin=tuple(obj["origin"]),
-            axis_u=tuple(obj["axis_u"]), axis_v=tuple(obj["axis_v"]),
-            radius=obj["radius"], turns=obj["turns"], phase_deg=obj["phase_deg"],
-            waypoints=tuple(tuple(w) for w in obj["waypoints"]), taps=obj["taps"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +212,7 @@ def _rot(pyr: tuple[float, float, float]) -> RotationKeys:
 
 
 def default_templates() -> dict[str, SignTemplate]:
-    """The built-in template library: nine signs plus the reversed control."""
+    """One template per vocabulary sign: the nine signs plus the reversed control."""
     t: dict[str, SignTemplate] = {}
 
     def add(sign, **kw):
@@ -252,9 +231,9 @@ def default_templates() -> dict[str, SignTemplate]:
         nondominant_rotation=_rot((-15.0, 0.0, -85.0)))
 
     # Control class: the same movement with the rotation direction flipped.
-    add(COFFEE_REVERSED,
-        **{**_template_kwargs(t["COFFEE"]),
-           "dominant_path": replace(t["COFFEE"].dominant_path, turns=-2.0)})
+    t[COFFEE_REVERSED.name] = replace(
+        t["COFFEE"], sign=COFFEE_REVERSED,
+        dominant_path=replace(t["COFFEE"].dominant_path, turns=-2.0))
 
     # Small stirring circle with a pinch over a C-shaped base.
     add(gesture.TEA,
@@ -343,18 +322,6 @@ def default_templates() -> dict[str, SignTemplate]:
     return t
 
 
-def _template_kwargs(tpl: SignTemplate) -> dict:
-    return {
-        "dominant_path": tpl.dominant_path,
-        "nondominant_path": tpl.nondominant_path,
-        "dominant_pose_keys": tpl.dominant_pose_keys,
-        "nondominant_pose_keys": tpl.nondominant_pose_keys,
-        "dominant_rotation": tpl.dominant_rotation,
-        "nondominant_rotation": tpl.nondominant_rotation,
-        "two_handed": tpl.two_handed,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Profiles and dataset specs
 # ---------------------------------------------------------------------------
@@ -403,10 +370,18 @@ class DatasetSpec:
     def __post_init__(self):
         if self.signers < 1 or self.repetitions_per_class < 1 or not self.classes:
             raise ValueError("counts must be >= 1 and classes non-empty")
+        if not (self.frame_rate_hz > 0 and self.duration_s > 0):
+            raise ValueError("frame rate and duration must be > 0")
         if self.frame_rate_hz * self.duration_s < 2:
             raise ValueError("frame_rate * duration must cover at least 2 frames")
         if not 0.0 <= self.left_handed_fraction <= 1.0:
             raise ValueError("left_handed_fraction must be in [0, 1]")
+        lo, hi = self.speed_range
+        if not 0.5 <= lo <= hi <= 2.0:
+            raise ValueError(f"speed_range {lo},{hi} must satisfy 0.5 <= lo <= hi <= 2.0")
+        if not all(v >= 0 for v in (self.offset_std_m, self.orientation_jitter_deg,
+                                    self.noise_std_m)):
+            raise ValueError("offset, jitter and noise must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -608,94 +583,3 @@ def perturb(sample: GestureSample, p: PerturbParams,
                            handedness=out.handedness, duration_s=out.duration_s)
     require_valid(result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Template library files
-# ---------------------------------------------------------------------------
-
-
-def _pose_keys_to_obj(keys: PoseKeys):
-    return [[u, name] for u, name in keys]
-
-
-def _rot_keys_to_obj(keys: RotationKeys):
-    return [[u, list(v)] for u, v in keys]
-
-
-def save_template_library(templates: dict[str, SignTemplate], path: str | os.PathLike):
-    header = {"magic": TEMPLATE_MAGIC, "version": TEMPLATE_VERSION}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for name in sorted(templates):
-            tpl = templates[name]
-            obj = {
-                "sign": tpl.sign.name,
-                "two_handed": tpl.two_handed,
-                "dominant_path": tpl.dominant_path.to_obj(),
-                "nondominant_path": (tpl.nondominant_path.to_obj()
-                                     if tpl.nondominant_path else None),
-                "dominant_pose_keys": _pose_keys_to_obj(tpl.dominant_pose_keys),
-                "nondominant_pose_keys": _pose_keys_to_obj(tpl.nondominant_pose_keys),
-                "dominant_rotation": _rot_keys_to_obj(tpl.dominant_rotation),
-                "nondominant_rotation": _rot_keys_to_obj(tpl.nondominant_rotation),
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _template_from_obj(obj: dict) -> SignTemplate:
-    name = obj["sign"]
-    try:
-        sc = gesture.sign_class(name)
-    except KeyError:
-        sc = SignClass(code=-1, name=name)  # registered by the caller once valid
-    return SignTemplate(
-        sign=sc,
-        dominant_path=PathSpec.from_obj(obj["dominant_path"]),
-        nondominant_path=(PathSpec.from_obj(obj["nondominant_path"])
-                          if obj["nondominant_path"] else None),
-        dominant_pose_keys=tuple((u, n) for u, n in obj["dominant_pose_keys"]),
-        nondominant_pose_keys=tuple((u, n) for u, n in obj["nondominant_pose_keys"]),
-        dominant_rotation=tuple((u, tuple(v)) for u, v in obj["dominant_rotation"]),
-        nondominant_rotation=tuple((u, tuple(v)) for u, v in obj["nondominant_rotation"]),
-        two_handed=bool(obj["two_handed"]),
-    )
-
-
-def load_template_library(path: str | os.PathLike) -> dict[str, SignTemplate]:
-    """Read a template library file.
-
-    Raises FormatError when the file is not a library or a line is not a
-    template record (broken JSON, missing or mistyped fields), and
-    InvalidTemplate when a well-formed record describes an impossible template.
-    """
-    from .dataset_io import FormatError
-
-    def parse_json_line(line: bytes, what: str):
-        try:
-            return json.loads(line.decode("utf-8"))
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-            raise FormatError(f"{what}: {e}") from e
-
-    with open(path, "rb") as fh:
-        header = parse_json_line(fh.readline(), "bad template header")
-        if not isinstance(header, dict) or header.get("magic") != TEMPLATE_MAGIC:
-            raise FormatError(f"bad magic: expected {TEMPLATE_MAGIC!r}")
-        if header.get("version") != TEMPLATE_VERSION:
-            raise FormatError(f"unsupported template version {header.get('version')!r}")
-        out: dict[str, SignTemplate] = {}
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            obj = parse_json_line(line, f"line {line_no}: bad template record")
-            try:
-                tpl = _template_from_obj(obj)
-                tpl.validate()
-            except InvalidTemplate:
-                raise
-            except (KeyError, TypeError, ValueError) as e:
-                raise FormatError(f"line {line_no}: bad template record: {e}") from e
-            if tpl.sign.code < 0:  # a new control class, registered only once valid
-                tpl = replace(tpl, sign=register_control_class(tpl.sign.name))
-            out[tpl.sign.name] = tpl
-    return out

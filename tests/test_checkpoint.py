@@ -130,7 +130,10 @@ def _entry(header, name):
     lambda h: h["config"].update(lstm1_units=h["config"]["lstm1_units"] * 2),
     lambda h: h.update(train_state={"epoch": 1, "t": 1, "alpha": 1e-3, "beta1": 0.9,
                                     "beta2": 0.999, "epsilon": 1e-8}),
-], ids=["renamed-array", "transposed-shape", "config-widths", "train-state-without-moments"])
+    lambda h: h["config"].update(classes=["FOO", *h["config"]["classes"][1:]]),
+    lambda h: h["config"].update(classes=["COFFEE", *h["config"]["classes"][:-1]]),
+], ids=["renamed-array", "transposed-shape", "config-widths", "train-state-without-moments",
+        "unknown-class", "repeated-class"])
 def test_manifest_disagreeing_with_config_raises_version_mismatch(tmp_path, edit):
     net = build_network(CFG, seed=3)
     path = tmp_path / "net.ckpt"
@@ -143,7 +146,7 @@ def test_manifest_disagreeing_with_config_raises_version_mismatch(tmp_path, edit
 def test_train_state_round_trip_enables_exact_resume(tmp_path):
     rng = np.random.default_rng(0)
     cfg = NetConfig(t_max=40, feature_dim=12, scale_factor=Fraction(1, 32),
-                    n_classes=2, classes=("A", "B"), dropout_rate=0.0)
+                    n_classes=2, classes=("COFFEE", "TEA"), dropout_rate=0.0)
     feats = [rng.standard_normal((40, 12)) * 0.2 + (0.5 if i % 2 == 0 else -0.5)
              for i in range(20)]
     data = EncodedDataset(features=feats, y=np.array([i % 2 for i in range(20)]),

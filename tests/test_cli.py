@@ -68,6 +68,26 @@ def test_gen_data_unknown_class_is_usage_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--speed-range", "3,4,0"],
+    ["--speed-range", "0.9,1.1,7"],
+    ["--speed-range", "3,4"],
+    ["--speed-range", "1.2,0.9"],
+    ["--noise-std", "-1"],
+    ["--jitter-deg", "-2"],
+    ["--offset-std", "-0.1"],
+    ["--frame-rate", "-72", "--duration", "-3"],
+], ids=["speed-three-values", "speed-third-value-ignored", "speed-above-2", "speed-lo-above-hi",
+        "negative-noise", "negative-jitter", "negative-offset", "negative-rate-and-duration"])
+def test_gen_data_bad_variability_is_usage_error(tmp_path, flags):
+    out = tmp_path / "x.ds"
+    r = run_cli("gen-data", "--classes", "COFFEE", "--signers", "1", "--reps", "1",
+                *flags, "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_train_wrote_checkpoint_and_report(workspace):
     assert workspace["ckpt"].stat().st_size > 0
     report = json.loads(workspace["report"].read_text())
@@ -220,7 +240,7 @@ LESSON_PRODUCTIONS = ["COFFEE", "COFFEE_REVERSED", "TEA", "MILK"]
 # right-handed, at speed 1.0, with no offset, 2 degrees of jitter and 2 mm
 # of noise, so 217 frames each at the default 72 Hz over 3 s.
 LESSON_DATA = ["gen-data", "--classes", *LESSON_PRODUCTIONS, "--left-handed", "0",
-               "--speed-range", "1,1,1", "--offset-std", "0", "--jitter-deg", "2",
+               "--speed-range", "1,1", "--offset-std", "0", "--jitter-deg", "2",
                "--noise-std", "0.002"]
 
 

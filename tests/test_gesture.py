@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aslchamp import gesture
+from aslchamp.synth import default_templates
 from aslchamp.gesture import (
     EncodingConfig,
     FeatureMatrix,
@@ -32,7 +33,7 @@ def with_frames(sample: GestureSample, frames, **changes) -> GestureSample:
 
 
 # ---------------------------------------------------------------------------
-# Sign registry
+# Sign vocabulary
 # ---------------------------------------------------------------------------
 
 
@@ -41,14 +42,12 @@ def test_canonical_vocabulary():
     assert names == ["COFFEE", "TEA", "MILK", "WHIPPED_CREAM", "MUFFIN",
                      "COOKIE", "CUP", "STRAW", "MONEY"]
     assert [s.code for s in gesture.CANONICAL_SIGNS] == list(range(9))
-
-
-def test_control_class_registration_is_idempotent():
-    a = gesture.register_control_class("TEST_CONTROL")
-    b = gesture.register_control_class("TEST_CONTROL")
-    assert a is b
-    assert a.code >= 9
-    assert gesture.sign_class("TEST_CONTROL") == a
+    assert gesture.VOCABULARY == gesture.CANONICAL_SIGNS + (gesture.COFFEE_REVERSED,)
+    assert [s.code for s in gesture.VOCABULARY] == list(range(10))
+    for s in gesture.VOCABULARY:
+        assert gesture.sign_class(s.name) is s
+    # Every sign has a built-in template, so nothing downstream can miss one.
+    assert set(default_templates()) == {s.name for s in gesture.VOCABULARY}
 
 
 def test_unknown_sign_lookup():

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -16,9 +15,7 @@ from aslchamp.synth import (
     default_templates,
     generate_dataset,
     generate_sample,
-    load_template_library,
     perturb,
-    save_template_library,
 )
 
 
@@ -299,83 +296,3 @@ def test_perturb_requires_rng_for_random_stages():
                              np.random.default_rng(0))
     with pytest.raises(ValueError):
         perturb(sample, PerturbParams(noise_std_m=0.01))
-
-
-# ---------------------------------------------------------------------------
-# Template library files
-# ---------------------------------------------------------------------------
-
-
-def test_template_library_round_trip(tmp_path):
-    templates = default_templates()
-    path = tmp_path / "templates.jsonl"
-    save_template_library(templates, path)
-    loaded = load_template_library(path)
-    assert set(loaded) == set(templates)
-    for name in templates:
-        assert loaded[name] == templates[name]
-
-
-def test_template_library_bad_magic(tmp_path):
-    from aslchamp.dataset_io import FormatError
-    path = tmp_path / "templates.jsonl"
-    path.write_text('{"magic": "NOPE", "version": 1}\n')
-    with pytest.raises(FormatError):
-        load_template_library(path)
-
-
-@pytest.mark.parametrize("edit", ["truncate", "drop_sign", "drop_kind"])
-def test_template_library_broken_line_is_format_error_with_line_number(tmp_path, edit):
-    from aslchamp.dataset_io import FormatError
-    path = tmp_path / "templates.jsonl"
-    save_template_library(default_templates(), path)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[3])
-    if edit == "truncate":
-        lines[3] = lines[3][:len(lines[3]) // 2]
-    elif edit == "drop_sign":
-        del record["sign"]
-        lines[3] = json.dumps(record)
-    else:
-        del record["dominant_path"]["kind"]
-        lines[3] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="line 4"):
-        load_template_library(path)
-
-
-def test_refused_template_record_leaves_no_class_registered(tmp_path):
-    path = tmp_path / "templates.jsonl"
-    save_template_library(default_templates(), path)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    record.update(sign="BOGUS", dominant_pose_keys=[])
-    lines[1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(synth.InvalidTemplate):
-        load_template_library(path)
-    with pytest.raises(KeyError):
-        gesture.sign_class("BOGUS")
-
-
-def test_template_library_truncated_or_bit_flipped_raises_only_documented_errors(tmp_path):
-    from aslchamp.dataset_io import FormatError
-    path = tmp_path / "templates.jsonl"
-    save_template_library(default_templates(), path)
-    data = path.read_bytes()
-    broken = tmp_path / "broken.jsonl"
-
-    def load(blob):
-        broken.write_bytes(blob)
-        try:
-            load_template_library(broken)
-        except (FormatError, synth.InvalidTemplate):
-            pass
-
-    for cut in range(len(data)):
-        load(data[:cut])
-    rng = np.random.default_rng(0)
-    for offset, bit in zip(rng.integers(0, len(data), size=400), rng.integers(0, 8, size=400)):
-        flipped = bytearray(data)
-        flipped[offset] ^= 1 << int(bit)
-        load(bytes(flipped))
