@@ -157,20 +157,3 @@ def render_metrics(m: EvalMetrics, format: str = "text") -> str:
         lines.append(row)
     return "\n".join(lines) + "\n"
 
-
-def parse_confusion_csv(text: str) -> EvalMetrics:
-    """Inverse of render_metrics(..., 'csv')."""
-    rows = list(csv.reader(io.StringIO(text)))
-    class_names = tuple(rows[0][1:])
-    k = len(class_names)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
-        confusion[i] = [int(c) for c in row[1:]]
-    y_true = []
-    y_pred = []
-    for i in range(k):
-        for j in range(k):
-            y_true.extend([i] * confusion[i, j])
-            y_pred.extend([j] * confusion[i, j])
-    return confusion_from_predictions(np.array(y_true, dtype=np.int64),
-                                      np.array(y_pred, dtype=np.int64), class_names)

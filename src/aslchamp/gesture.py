@@ -8,12 +8,9 @@ arrays over its T frames, hand axis 0 = left and 1 = right:
     timestamps (T,), locations (T, 2, 25, 3), rotations (T, 2, 25, 3),
     hand_rotation (T, 2, 3), present (T, 2) bool
 
-``HandFrame``/``JointFrame`` are the per-frame view of the same data:
-``GestureSample.from_frames`` packs frames into the arrays and
-``GestureSample.frames`` unpacks them.  This module validates samples,
-encodes them into dense feature matrices for the recognizer, and mirrors
-productions across the sagittal plane to convert between left- and
-right-handed signing; each works on whole arrays.
+This module validates samples, encodes them into dense feature matrices for
+the recognizer, and mirrors productions across the sagittal plane to convert
+between left- and right-handed signing; each works on whole arrays.
 
 Feature layout (one row per frame, fixed concatenation order):
 
@@ -94,7 +91,7 @@ def sign_class(name: str) -> SignClass:
 
 
 # ---------------------------------------------------------------------------
-# Frames and samples
+# Samples
 # ---------------------------------------------------------------------------
 
 SIDES = ("left", "right")  # hand axis 0 and 1 of every per-hand sample array
@@ -105,33 +102,6 @@ _HAND_FIELDS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("hand_rotation", (3,)),
 )
 _SAMPLE_ARRAYS = ("timestamps", "locations", "rotations", "hand_rotation", "present")
-
-
-@dataclass(frozen=True, eq=False)
-class HandFrame:
-    """One hand at one time step: a view into a sample (``GestureSample.frames``)
-    or input to ``GestureSample.from_frames``."""
-
-    locations: np.ndarray  # (25, 3) meters, headset-local
-    rotations: np.ndarray  # (25, 3) degrees: pitch, yaw, roll
-    hand_rotation: np.ndarray  # (3,) degrees
-    present: bool = True
-
-    @staticmethod
-    def absent() -> "HandFrame":
-        return HandFrame(
-            locations=np.zeros((NUM_JOINTS, 3)),
-            rotations=np.zeros((NUM_JOINTS, 3)),
-            hand_rotation=np.zeros(3),
-            present=False,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class JointFrame:
-    timestamp_s: float
-    left: HandFrame
-    right: HandFrame
 
 
 def _column(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -173,44 +143,6 @@ class GestureSample:
         columns += [(name, np.float64, (t, 2) + hand) for name, hand in _HAND_FIELDS]
         for name, dtype, full in columns:
             object.__setattr__(self, name, _column(getattr(self, name), dtype, full, name))
-
-    @classmethod
-    def from_frames(cls, label: SignClass, frames, signer_id: str, handedness: str,
-                    duration_s: float) -> "GestureSample":
-        """Pack per-frame records into the columns.
-
-        Raises ``InvalidSample`` (rule ``joint-count``) naming the first frame,
-        side and field whose array has the wrong shape.
-        """
-        frames = tuple(frames)
-        hands = [(f.left, f.right) for f in frames]
-        for i, pair in enumerate(hands):
-            for side, hand in zip(SIDES, pair):
-                for name, shape in _HAND_FIELDS:
-                    got = np.shape(getattr(hand, name))
-                    if got != shape:
-                        raise InvalidSample(f"joint-count: frame {i} {side}.{name}: "
-                                            f"expected {shape}, got {got}")
-
-        def column(name):
-            return [[getattr(h, name) for h in pair] for pair in hands]
-
-        return cls(label=label, timestamps=[f.timestamp_s for f in frames],
-                   locations=column("locations"), rotations=column("rotations"),
-                   hand_rotation=column("hand_rotation"), present=column("present"),
-                   signer_id=signer_id, handedness=handedness, duration_s=duration_s)
-
-    @property
-    def frames(self) -> tuple[JointFrame, ...]:
-        """Per-frame views of the columns (read-only arrays)."""
-        present = self.present.tolist()
-
-        def hand(k, s):
-            return HandFrame(self.locations[k, s], self.rotations[k, s],
-                             self.hand_rotation[k, s], present[k][s])
-
-        return tuple(JointFrame(t, hand(k, 0), hand(k, 1))
-                     for k, t in enumerate(self.timestamps.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, GestureSample):

@@ -337,16 +337,6 @@ def transcript_to_jsonl(transcript: tuple[TranscriptEvent, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transcript_from_jsonl(text: str) -> tuple[TranscriptEvent, ...]:
-    events = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        events.append(TranscriptEvent(**obj))
-    return tuple(events)
-
-
 # ---------------------------------------------------------------------------
 # Simulated learners
 # ---------------------------------------------------------------------------

@@ -443,23 +443,15 @@ def infer(net: ChampNet, chunks: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
     return np.concatenate([_forward_full(net, x, train=False, rng=None)[1] for x in chunks])
 
 
-def forward(net: ChampNet, batch, mode: str = "infer",
-            rng: np.random.Generator | None = None) -> np.ndarray:
+def forward(net: ChampNet, batch) -> np.ndarray:
     """Class probabilities, one row per sample; rows sum to 1 within 1e-9.
 
     ``batch`` is a (B, T, D) or (T, D) array of features with 1 <= T <=
     t_max; rows T to t_max count as zero, so a batch trimmed to its longest
     sample gives the same probabilities as the batch zero-padded to t_max.
+    Inference mode: dropout is off (training runs through ``train``).
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and rng is None and net.config.dropout_rate > 0:
-        raise ValueError("training-mode forward needs an rng for dropout")
-    x = _coerce_batch(net, batch)
-    if mode == "train":
-        _, probs, _ = _forward_full(net, x, True, rng)
-    else:
-        probs = infer(net, [x])
+    probs = infer(net, [_coerce_batch(net, batch)])
     if not np.isfinite(probs).all():
         raise NonFiniteValue("forward produced non-finite probabilities")
     return probs

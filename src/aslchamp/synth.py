@@ -8,8 +8,8 @@ direction of circular movements (COFFEE vs the COFFEE_REVERSED control class).
 
 Coordinates are headset-local: x to the signer's right, y up, z forward.
 Templates are authored right-hand-dominant; left-handed productions are made
-by mirroring the finished sample across the sagittal plane.  Generation and
-perturbation compute whole (T, 2, ...) sample arrays; no step runs per frame.
+by mirroring the finished sample across the sagittal plane.  Generation
+computes whole (T, 2, ...) sample arrays; no step runs per frame.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .gesture import (
     NUM_JOINTS,
     SignClass,
     mirror_handedness,
-    require_valid,
 )
 
 TEMPLATE_VERSION = 1
@@ -370,6 +369,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.signers < 1 or self.repetitions_per_class < 1 or not self.classes:
             raise ValueError("counts must be >= 1 and classes non-empty")
+        repeated = sorted({c for c in self.classes if self.classes.count(c) > 1})
+        if repeated:
+            raise ValueError(f"class named more than once: {', '.join(repeated)}")
         if not (self.frame_rate_hz > 0 and self.duration_s > 0):
             raise ValueError("frame rate and duration must be > 0")
         if self.frame_rate_hz * self.duration_s < 2:
@@ -382,19 +384,6 @@ class DatasetSpec:
         if not all(v >= 0 for v in (self.offset_std_m, self.orientation_jitter_deg,
                                     self.noise_std_m)):
             raise ValueError("offset, jitter and noise must be >= 0")
-
-
-@dataclass(frozen=True)
-class PerturbParams:
-    """Perturbation stages; zero/empty values disable a stage.
-
-    time_rescale r divides the duration by r (r=2 halves it); 0 disables.
-    """
-
-    time_rescale: float = 0.0
-    spatial_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    orientation_jitter_deg: float = 0.0
-    noise_std_m: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -517,69 +506,3 @@ def generate_dataset(spec: DatasetSpec,
         provenance=f"synthetic templates v{TEMPLATE_VERSION}, master_seed={spec.master_seed}",
     )
 
-
-# ---------------------------------------------------------------------------
-# Perturbation
-# ---------------------------------------------------------------------------
-
-
-def _resample_sample(sample: GestureSample, factor: float) -> GestureSample:
-    old_ts = sample.timestamps
-    n_old = len(old_ts)
-    rate = (n_old - 1) / sample.duration_s if sample.duration_s > 0 else 1.0
-    new_duration = sample.duration_s / factor
-    n_new = int(round(rate * new_duration)) + 1
-    if n_new < 2:
-        n_new = 2
-    new_ts = np.arange(n_new) / rate
-    src_ts = np.clip(new_ts * factor, old_ts[0], old_ts[-1])
-
-    def interp(arr):
-        cols = [np.interp(src_ts, old_ts, col) for col in arr.reshape(n_old, -1).T]
-        return np.stack(cols, axis=1).reshape((n_new,) + arr.shape[1:])
-
-    nearest = np.clip(np.searchsorted(old_ts, src_ts, side="left"), 0, n_old - 1)
-    return GestureSample(label=sample.label, timestamps=new_ts,
-                         locations=interp(sample.locations),
-                         rotations=interp(sample.rotations),
-                         hand_rotation=interp(sample.hand_rotation),
-                         present=sample.present[nearest], signer_id=sample.signer_id,
-                         handedness=sample.handedness, duration_s=float(new_ts[-1]))
-
-
-def perturb(sample: GestureSample, p: PerturbParams,
-            rng: np.random.Generator | None = None) -> GestureSample:
-    """Apply the enabled perturbation stages; the label is preserved and the
-    result validates.  All-zero params return the input unchanged; absent
-    hands are never moved."""
-    require_valid(sample)
-    stages_random = p.orientation_jitter_deg > 0 or p.noise_std_m > 0
-    if stages_random and rng is None:
-        raise ValueError("random perturbation stages need an rng")
-    offset = np.asarray(p.spatial_offset, dtype=np.float64)
-    if p.time_rescale == 0 and not offset.any() and not stages_random:
-        return sample
-
-    out = sample
-    if p.time_rescale not in (0, 1.0):
-        out = _resample_sample(out, p.time_rescale)
-
-    n = len(out.timestamps)
-    rot_offsets = np.stack([rng.normal(0.0, p.orientation_jitter_deg, size=3)
-                            if p.orientation_jitter_deg > 0 else np.zeros(3)
-                            for _ in gesture.SIDES])  # (2, 3)
-    noise = np.stack([rng.normal(0.0, p.noise_std_m, size=(n, 3))
-                      if p.noise_std_m > 0 else np.zeros((n, 3))
-                      for _ in gesture.SIDES], axis=1)  # (n, 2, 3)
-    present = out.present[:, :, None]
-    loc = out.locations + offset + noise[:, :, None, :]
-    rot = wrap_degrees(out.rotations + rot_offsets[:, None, :])
-    hrot = wrap_degrees(out.hand_rotation + rot_offsets)
-    result = GestureSample(label=out.label, timestamps=out.timestamps,
-                           locations=np.where(present[..., None], loc, out.locations),
-                           rotations=np.where(present[..., None], rot, out.rotations),
-                           hand_rotation=np.where(present, hrot, out.hand_rotation),
-                           present=out.present, signer_id=out.signer_id,
-                           handedness=out.handedness, duration_s=out.duration_s)
-    require_valid(result)
-    return result

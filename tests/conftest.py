@@ -16,26 +16,18 @@ import pytest
 from aslchamp import gesture
 
 
-def make_hand(value: float = 0.0, present: bool = True) -> gesture.HandFrame:
-    return gesture.HandFrame(
-        locations=np.full((gesture.NUM_JOINTS, 3), value),
-        rotations=np.full((gesture.NUM_JOINTS, 3), value),
-        hand_rotation=np.full(3, value),
-        present=present,
-    )
-
-
 def make_sample(n_frames: int = 5, label=gesture.COFFEE, rate: float = 72.0,
                 value: float = 0.0, handedness: str = "right",
                 signer_id: str = "s00") -> gesture.GestureSample:
-    frames = tuple(
-        gesture.JointFrame(timestamp_s=i / rate, left=make_hand(value),
-                           right=make_hand(value))
-        for i in range(n_frames)
-    )
-    return gesture.GestureSample.from_frames(
-        label=label, frames=frames, signer_id=signer_id,
-        handedness=handedness, duration_s=frames[-1].timestamp_s,
+    """Both hands present, every joint value ``value``, at ``rate`` Hz."""
+    timestamps = np.arange(n_frames) / rate
+    return gesture.GestureSample(
+        label=label, timestamps=timestamps,
+        locations=np.full((n_frames, 2, gesture.NUM_JOINTS, 3), value),
+        rotations=np.full((n_frames, 2, gesture.NUM_JOINTS, 3), value),
+        hand_rotation=np.full((n_frames, 2, 3), value),
+        present=np.ones((n_frames, 2), dtype=bool),
+        signer_id=signer_id, handedness=handedness, duration_s=float(timestamps[-1]),
     )
 
 
@@ -44,21 +36,34 @@ def rng():
     return np.random.default_rng(0)
 
 
+HAND_VALUES = gesture.NUM_JOINTS * 6 + 3  # per hand: locations, rotations, hand_rotation
+
+
 def random_sample(rng, n_frames: int = 6, one_handed: bool = False,
                   label=gesture.TEA, signer_id: str = "s01") -> gesture.GestureSample:
-    frames = []
-    for i in range(n_frames):
-        def hand():
-            return gesture.HandFrame(
-                locations=rng.uniform(-0.5, 0.5, size=(gesture.NUM_JOINTS, 3)),
-                rotations=rng.uniform(-179.0, 179.0, size=(gesture.NUM_JOINTS, 3)),
-                hand_rotation=rng.uniform(-179.0, 179.0, size=3),
-            )
-        left = gesture.HandFrame.absent() if one_handed else hand()
-        frames.append(gesture.JointFrame(timestamp_s=i / 60.0, left=left, right=hand()))
-    return gesture.GestureSample.from_frames(
-        label=label, frames=frames, signer_id=signer_id,
-        handedness="right", duration_s=frames[-1].timestamp_s,
+    """Uniform joints at 60 Hz: locations in [-0.5, 0.5) m, rotations in
+    [-179, 179) degrees.  ``one_handed`` leaves the left hand absent and zero.
+
+    The draws come frame by frame, left hand then right, each hand's
+    locations then rotations then hand_rotation.
+    """
+    hands = 1 if one_handed else 2
+    u = rng.random((n_frames, hands, HAND_VALUES))
+    n_loc = gesture.NUM_JOINTS * 3
+    values = np.zeros((n_frames, 2, HAND_VALUES))
+    # low + (high - low) * u, as Generator.uniform(low, high) computes it
+    values[:, 2 - hands:, :n_loc] = -0.5 + 1.0 * u[..., :n_loc]
+    values[:, 2 - hands:, n_loc:] = -179.0 + 358.0 * u[..., n_loc:]
+    joints = (n_frames, 2, gesture.NUM_JOINTS, 3)
+    timestamps = np.arange(n_frames) / 60.0
+    return gesture.GestureSample(
+        label=label, timestamps=timestamps,
+        locations=values[..., :n_loc].reshape(joints),
+        rotations=values[..., n_loc:2 * n_loc].reshape(joints),
+        hand_rotation=values[..., 2 * n_loc:],
+        present=np.column_stack([np.full(n_frames, not one_handed),
+                                 np.ones(n_frames, dtype=bool)]),
+        signer_id=signer_id, handedness="right", duration_s=float(timestamps[-1]),
     )
 
 

@@ -77,8 +77,10 @@ def test_gen_data_unknown_class_is_usage_error(tmp_path):
     ["--jitter-deg", "-2"],
     ["--offset-std", "-0.1"],
     ["--frame-rate", "-72", "--duration", "-3"],
+    ["--classes", "COFFEE", "COFFEE"],
 ], ids=["speed-three-values", "speed-third-value-ignored", "speed-above-2", "speed-lo-above-hi",
-        "negative-noise", "negative-jitter", "negative-offset", "negative-rate-and-duration"])
+        "negative-noise", "negative-jitter", "negative-offset", "negative-rate-and-duration",
+        "class-named-twice"])
 def test_gen_data_bad_variability_is_usage_error(tmp_path, flags):
     out = tmp_path / "x.ds"
     r = run_cli("gen-data", "--classes", "COFFEE", "--signers", "1", "--reps", "1",

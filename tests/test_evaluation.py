@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,6 @@ from aslchamp.evaluation import (
     SplitSpec,
     confusion_from_predictions,
     evaluate,
-    parse_confusion_csv,
     render_metrics,
     split_dataset,
 )
@@ -181,10 +182,12 @@ def test_csv_round_trip(rng):
     y_true = rng.integers(0, 9, size=120)
     y_pred = rng.integers(0, 9, size=120)
     m = confusion_from_predictions(y_true, y_pred, gesture.CANONICAL_NAMES)
-    back = parse_confusion_csv(render_metrics(m, "csv"))
-    assert np.array_equal(back.confusion, m.confusion)
-    assert back.accuracy == m.accuracy
-    assert back.class_names == m.class_names
+    rows = list(csv.reader(io.StringIO(render_metrics(m, "csv"))))
+    assert rows[0] == ["produced\\recognized", *m.class_names]
+    assert [row[0] for row in rows[1:]] == list(m.class_names)
+    confusion = np.array([[int(c) for c in row[1:]] for row in rows[1:]])
+    assert np.array_equal(confusion, m.confusion)
+    assert float(np.trace(confusion) / confusion.sum()) == m.accuracy
 
 
 def test_labels_ordered_by_class_code():

@@ -10,9 +10,7 @@ from aslchamp.gesture import (
     EncodingConfig,
     FeatureMatrix,
     GestureSample,
-    HandFrame,
     InvalidSample,
-    JointFrame,
     LOCATION_SCALE_M,
     NUM_JOINTS,
     ROTATION_SCALE_DEG,
@@ -22,14 +20,9 @@ from aslchamp.gesture import (
     validate_sample,
 )
 
-from conftest import make_hand, make_sample, random_sample
+from conftest import make_sample, random_sample
 
-
-def with_frames(sample: GestureSample, frames, **changes) -> GestureSample:
-    """``sample`` rebuilt from ``frames``, other fields as given or kept."""
-    kw = dict(label=sample.label, signer_id=sample.signer_id,
-              handedness=sample.handedness, duration_s=sample.duration_s)
-    return GestureSample.from_frames(frames=frames, **{**kw, **changes})
+SAMPLE_ARRAYS = ("timestamps", "locations", "rotations", "hand_rotation", "present")
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +61,12 @@ def test_well_formed_217_frame_sample_has_empty_report():
 
 
 def test_joint_count_finding_names_frame_and_rule():
+    # The arrays hold every frame at once, so the error names the rule, the
+    # field and both shapes; the frame count is the leading axis.
     sample = make_sample(n_frames=5)
-    frames = list(sample.frames)
-    bad = HandFrame(locations=np.zeros((24, 3)), rotations=np.zeros((24, 3)),
-                    hand_rotation=np.zeros(3))
-    frames[3] = JointFrame(timestamp_s=frames[3].timestamp_s,
-                           left=frames[3].left, right=bad)
-    with pytest.raises(InvalidSample, match=r"joint-count: frame 3 right\.locations"):
-        with_frames(sample, frames)
+    with pytest.raises(InvalidSample, match=r"joint-count: rotations expected "
+                                            r"\(5, 2, 25, 3\), got \(5, 2, 24, 3\)"):
+        dataclasses.replace(sample, rotations=np.zeros((5, 2, 24, 3)))
 
 
 def test_wrong_array_shape_is_refused_at_construction():
@@ -89,21 +80,19 @@ def test_wrong_array_shape_is_refused_at_construction():
 
 
 def test_monotonic_time_finding():
-    frames = list(make_sample(n_frames=12).frames)
-    frames[10] = dataclasses.replace(frames[10], timestamp_s=frames[9].timestamp_s)
-    sample = with_frames(make_sample(n_frames=12), frames,
-                         duration_s=frames[-1].timestamp_s)
+    sample = make_sample(n_frames=12)
+    ts = sample.timestamps.copy()
+    ts[10] = ts[9]
+    sample = dataclasses.replace(sample, timestamps=ts)
     report = validate_sample(sample)
     assert any(f.rule == "monotonic-time" and f.frame == 10 for f in report.findings)
 
 
 def test_non_finite_rotation_finding():
-    hand = HandFrame(locations=np.zeros((NUM_JOINTS, 3)),
-                     rotations=np.full((NUM_JOINTS, 3), np.nan),
-                     hand_rotation=np.zeros(3))
-    frames = (JointFrame(timestamp_s=0.0, left=make_hand(), right=hand),)
-    sample = GestureSample.from_frames(label=gesture.MILK, frames=frames, signer_id="x",
-                                       handedness="right", duration_s=0.0)
+    sample = make_sample(n_frames=1, label=gesture.MILK, signer_id="x")
+    rot = sample.rotations.copy()
+    rot[0, 1] = np.nan  # frame 0, right hand
+    sample = dataclasses.replace(sample, rotations=rot)
     report = validate_sample(sample)
     assert any(f.rule == "non-finite" for f in report.findings)
 
@@ -111,19 +100,20 @@ def test_non_finite_rotation_finding():
 def test_duration_mismatch_and_empty_frames():
     sample = dataclasses.replace(make_sample(n_frames=4), duration_s=99.0)
     assert any(f.rule == "duration-mismatch" for f in validate_sample(sample).findings)
-    empty = with_frames(make_sample(n_frames=1), ())
+    empty = dataclasses.replace(make_sample(n_frames=1),
+                                **{name: () for name in SAMPLE_ARRAYS})
     assert any(f.rule == "empty-frames" for f in validate_sample(empty).findings)
 
 
 def test_validation_never_raises_on_garbage_shapes():
     # Garbage shapes cannot be stored: construction refuses them with
     # InvalidSample, and nothing else escapes.
-    weird = HandFrame(locations=np.zeros((2, 7)), rotations=np.zeros(4),
-                      hand_rotation=np.zeros((5, 5)))
-    frames = (JointFrame(timestamp_s=0.0, left=weird, right=weird),)
-    with pytest.raises(InvalidSample, match=r"joint-count: frame 0 left\.locations"):
-        GestureSample.from_frames(label=gesture.CUP, frames=frames, signer_id="x",
-                                  handedness="right", duration_s=0.0)
+    sample = make_sample(n_frames=1, label=gesture.CUP, signer_id="x")
+    for name, garbage in (("timestamps", np.zeros((2, 7))), ("present", np.zeros(4)),
+                          ("locations", np.zeros((2, 7))), ("rotations", np.zeros(4)),
+                          ("hand_rotation", np.zeros((5, 5)))):
+        with pytest.raises(InvalidSample, match=rf"joint-count: {name}"):
+            dataclasses.replace(sample, **{name: garbage})
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +136,10 @@ def test_encode_zero_sample_gives_zero_row():
 
 
 def test_encode_rotation_scaling_is_exact():
-    hand = HandFrame(locations=np.zeros((NUM_JOINTS, 3)),
-                     rotations=np.zeros((NUM_JOINTS, 3)),
-                     hand_rotation=np.array([90.0, 0.0, 0.0]))
-    frames = (JointFrame(timestamp_s=0.0, left=make_hand(), right=hand),)
-    sample = GestureSample.from_frames(label=gesture.TEA, frames=frames, signer_id="x",
-                                       handedness="right", duration_s=0.0)
+    sample = make_sample(n_frames=1, label=gesture.TEA, signer_id="x")
+    hrot = sample.hand_rotation.copy()
+    hrot[0, 1] = [90.0, 0.0, 0.0]  # frame 0, right hand
+    sample = dataclasses.replace(sample, hand_rotation=hrot)
     m = encode_features(sample)
     # right hand block starts at 153; hand_rotation is its last 3 columns
     assert m.values[0, 153 + 150] == 0.5
@@ -205,22 +193,22 @@ def test_encoded_rotations_lie_in_unit_interval(n_frames, seed):
 
 def reference_encode(sample: GestureSample, presence_flags: bool) -> np.ndarray:
     """Per-frame encoder written from the module docstring's column layout."""
-    first = sample.frames[0]
-    wrists = [h.locations[0] for h in (first.left, first.right) if h.present]
+    present = sample.present.tolist()
+    wrists = [sample.locations[0, s, 0] for s in (0, 1) if present[0][s]]
     center = np.mean(wrists, axis=0) if wrists else np.zeros(3)
     rows = []
-    for frame in sample.frames:
+    for k in range(sample.timestamps.size):
         row = []
-        for hand in (frame.left, frame.right):
-            if not hand.present:
+        for s in (0, 1):  # left hand, then right
+            if not present[k][s]:
                 row.extend([0.0] * (NUM_JOINTS * 6 + 3))
                 continue
             for j in range(NUM_JOINTS):
-                row.extend((hand.locations[j] - center) / LOCATION_SCALE_M)
-                row.extend(hand.rotations[j] / ROTATION_SCALE_DEG)
-            row.extend(hand.hand_rotation / ROTATION_SCALE_DEG)
+                row.extend((sample.locations[k, s, j] - center) / LOCATION_SCALE_M)
+                row.extend(sample.rotations[k, s, j] / ROTATION_SCALE_DEG)
+            row.extend(sample.hand_rotation[k, s] / ROTATION_SCALE_DEG)
         if presence_flags:
-            row.extend([float(frame.left.present), float(frame.right.present)])
+            row.extend([float(present[k][0]), float(present[k][1])])
         rows.append(row)
     return np.array(rows)
 
@@ -239,18 +227,6 @@ def test_encode_matches_per_frame_reference(n_frames, seed, one_handed, mirrored
     sample = drawn_sample(n_frames, seed, one_handed, mirrored)
     m = encode_features(sample, EncodingConfig(presence_flags=presence_flags))
     assert np.array_equal(m.values, reference_encode(sample, presence_flags))
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 ** 31),
-       st.booleans(), st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_from_frames_round_trips_the_frames_view(n_frames, seed, one_handed, mirrored):
-    s = drawn_sample(n_frames, seed, one_handed, mirrored)
-    frames = s.frames
-    assert len(frames) == n_frames
-    assert not frames[0].right.locations.flags.writeable
-    assert GestureSample.from_frames(s.label, frames, s.signer_id, s.handedness,
-                                     s.duration_s) == s
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +286,39 @@ def test_mirror_flips_handedness_and_negates_x(rng):
     mirrored = mirror_handedness(sample)
     assert mirrored.handedness == "left"
     assert mirrored.label == sample.label
-    f0, m0 = sample.frames[0], mirrored.frames[0]
-    np.testing.assert_array_equal(m0.left.locations[:, 0], -f0.right.locations[:, 0])
-    np.testing.assert_array_equal(m0.left.locations[:, 1:], f0.right.locations[:, 1:])
-    np.testing.assert_array_equal(m0.right.rotations[:, 1], -f0.left.rotations[:, 1])
-    np.testing.assert_array_equal(m0.right.rotations[:, 2], -f0.left.rotations[:, 2])
-    np.testing.assert_array_equal(m0.right.rotations[:, 0], f0.left.rotations[:, 0])
+    loc, loc_m = sample.locations[0], mirrored.locations[0]  # frame 0, (hand, joint, xyz)
+    rot, rot_m = sample.rotations[0], mirrored.rotations[0]
+    np.testing.assert_array_equal(loc_m[0, :, 0], -loc[1, :, 0])
+    np.testing.assert_array_equal(loc_m[0, :, 1:], loc[1, :, 1:])
+    np.testing.assert_array_equal(rot_m[1, :, 1], -rot[0, :, 1])
+    np.testing.assert_array_equal(rot_m[1, :, 2], -rot[0, :, 2])
+    np.testing.assert_array_equal(rot_m[1, :, 0], rot[0, :, 0])
 
 
 def test_mirror_single_present_hand(rng):
     sample = random_sample(rng, one_handed=True)  # only right hand present
     mirrored = mirror_handedness(sample)
-    assert all(f.left.present and not f.right.present for f in mirrored.frames)
+    assert mirrored.present[:, 0].all()
+    assert not mirrored.present[:, 1].any()
 
 
 def test_mirror_reverses_circle_direction():
     # counter-clockwise circle in the x-z plane traced by the right wrist
     n = 32
-    frames = []
-    for i in range(n):
-        th = 2 * np.pi * i / (n - 1)
-        hand = make_hand()
-        loc = np.array(hand.locations, copy=True)
-        loc[0] = [0.1 * np.cos(th), -0.3, 0.35 + 0.1 * np.sin(th)]
-        right = HandFrame(locations=loc, rotations=hand.rotations,
-                          hand_rotation=hand.hand_rotation)
-        frames.append(JointFrame(timestamp_s=i / 60.0, left=make_hand(), right=right))
-    sample = GestureSample.from_frames(label=gesture.COFFEE, frames=frames, signer_id="x",
-                                       handedness="right", duration_s=frames[-1].timestamp_s)
+    th = 2 * np.pi * np.arange(n) / (n - 1)
+    circle = np.column_stack([0.1 * np.cos(th), np.full(n, -0.3), 0.35 + 0.1 * np.sin(th)])
+    sample = make_sample(n_frames=n, rate=60.0, label=gesture.COFFEE, signer_id="x")
+    loc = sample.locations.copy()
+    loc[:, 1, 0] = circle  # right wrist
+    sample = dataclasses.replace(sample, locations=loc)
 
     def signed_area_xz(pts):
         x, z = pts[:, 0], pts[:, 2]
         return 0.5 * float(np.sum(x * np.roll(z, -1) - np.roll(x, -1) * z))
 
-    wrist = np.array([f.right.locations[0] for f in sample.frames])
+    wrist = sample.locations[:, 1, 0]
     mirrored = mirror_handedness(sample)
-    wrist_m = np.array([f.left.locations[0] for f in mirrored.frames])
+    wrist_m = mirrored.locations[:, 0, 0]
     a, am = signed_area_xz(wrist), signed_area_xz(wrist_m)
     assert a > 0
     assert am < 0

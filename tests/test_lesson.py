@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,11 @@ from aslchamp.lesson import (
     ShowDemo,
     ShowFeedback,
     Tick,
+    TranscriptEvent,
     new_lesson,
     replay,
     simulate_learner,
     step,
-    transcript_from_jsonl,
     transcript_to_jsonl,
 )
 from aslchamp.synth import MissingTemplate, default_templates
@@ -233,7 +235,7 @@ def test_transcript_jsonl_round_trip():
     final = scripted_lesson([("MILK", [True]), ("TEA", [False, True]),
                              ("COFFEE", [True])])
     text = transcript_to_jsonl(final.transcript)
-    back = transcript_from_jsonl(text)
+    back = tuple(TranscriptEvent(**json.loads(line)) for line in text.splitlines())
     assert back == final.transcript
     assert replay(PLAN, back) == final
 

@@ -166,15 +166,6 @@ def test_forward_infer_is_deterministic(rng):
     np.testing.assert_array_equal(forward(net, x), forward(net, x))
 
 
-def test_forward_train_mode_requires_rng(rng):
-    net = build_network(TINY, seed=4)
-    x = rng.standard_normal((2, 40, 12))
-    with pytest.raises(ValueError):
-        forward(net, x, mode="train")
-    probs = forward(net, x, mode="train", rng=np.random.default_rng(0))
-    assert probs.shape == (2, 9)
-
-
 def test_forward_shape_mismatch(rng):
     net = build_network(TINY, seed=4)
     with pytest.raises(ShapeMismatch):
