@@ -3,25 +3,26 @@
 The file is one ``framing`` frame (all integers little-endian):
 
     bytes  0..12   magic "ASLCHAMP-CKPT"
-    u32            format version (2)
+    u32            format version (3)
     u32            header length in bytes
-    header         UTF-8 JSON: config, seed, dtype, array manifest
-                   (name + shape per array), optional train_state
-    payload        arrays concatenated in manifest order, little-endian,
-                   32- or 64-bit floats as declared by the header dtype
-    u64 tail       first 8 bytes of SHA-256 over the payload
+    header         UTF-8 JSON: {"config": ..., "seed": ..., "train_state":
+                   null or {"epoch", "t", "alpha"}}
+    payload        the network parameters under their ``net.params`` names,
+                   in sorted order, each C-ordered, then with a train_state
+                   the Adam moments m and v in the same order; 32- or 64-bit
+                   little-endian floats as the config's dtype says
+    u64 tail       first 8 bytes of SHA-256 over every byte before it
 
-The arrays are the network parameters under their ``net.params`` names, in
-sorted order, then with a train_state the Adam moments as ``adam.m/<name>``
-and ``adam.v/<name>``.  Version 2 stores each LSTM layer as the four fused
-arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``, ``b_x (4H,)`` and ``b_h (4H,)``;
-version 1 files (16 per-gate arrays per layer) are refused.
+The config fixes every array's shape and dtype, so the header lists none.
+An LSTM layer is the four fused arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``,
+``b_x (4H,)`` and ``b_h (4H,)``.  Files of earlier versions are refused
+with ``VersionMismatch``; there is no converter.
 
-Loading verifies magic, version, and checksum, that the config's classes
-are distinct ``gesture.VOCABULARY`` signs, and that the manifest names
-exactly the arrays, with the shapes, that the header's config implies (the
-header is outside the checksum); a round-trip preserves every parameter bit,
-so predictions after load are identical.
+Loading verifies magic, version and checksum before it reads the header,
+then that the config is valid, that its classes are distinct
+``gesture.VOCABULARY`` signs, and that the payload is the size the config
+implies.  The parameters are views of the verified payload, so a round trip
+preserves every bit and predictions after load are identical.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import os
 
 import numpy as np
 
-from .framing import FrameReader, write_frame
+from .framing import read_frame, write_frame
 from .gesture import VOCABULARY
 from .net import ChampNet, NetConfig, TrainState, _param_shapes
 from .nn_ops import AdamState
 
 MAGIC = b"ASLCHAMP-CKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -59,76 +60,59 @@ def save_checkpoint(net: ChampNet, path: str | os.PathLike,
                     train_state: TrainState | None = None) -> None:
     cfg = net.config
     le = _le_dtype(cfg.dtype)
-    arrays: list[tuple[str, np.ndarray]] = [(k, net.params[k]) for k in sorted(net.params)]
+    groups = [net.params]
     if train_state is not None:
-        for group, tensors in (("adam.m", train_state.adam.m), ("adam.v", train_state.adam.v)):
-            arrays.extend((f"{group}/{k}", tensors[k]) for k in sorted(tensors))
-
-    manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
+        groups += [train_state.adam.m, train_state.adam.v]
     header = {
         "config": cfg.to_obj(),
         "seed": net.seed,
-        "dtype": cfg.dtype,
-        "arrays": manifest,
         "train_state": None if train_state is None else {
-            "epoch": train_state.epoch,
-            "t": train_state.adam.t,
-            "alpha": train_state.adam.alpha,
-            "beta1": train_state.adam.beta1,
-            "beta2": train_state.adam.beta2,
-            "epsilon": train_state.adam.epsilon,
-        },
+            "epoch": train_state.epoch, "t": train_state.adam.t,
+            "alpha": train_state.adam.alpha},
     }
     with open(path, "wb") as fh:
         write_frame(fh, MAGIC, FORMAT_VERSION, header,
-                    (np.ascontiguousarray(arr, dtype=le) for _, arr in arrays))
+                    (np.ascontiguousarray(group[k], dtype=le)
+                     for group in groups for k in sorted(group)))
 
 
 def load_checkpoint_full(path: str | os.PathLike):
     """Returns (ChampNet, TrainState | None)."""
     with open(path, "rb") as fh:
-        frame = FrameReader(fh, MAGIC, FORMAT_VERSION,
-                            wrong_kind=VersionMismatch, corrupt=ChecksumMismatch)
-        header = frame.header
-        le = _le_dtype(header["dtype"])
-        dims = [tuple(entry["shape"]) for entry in header["arrays"]]
-        frame.expect_payload(sum(int(np.prod(shape)) for shape in dims) * le.itemsize)
-        raw = [frame.read_array(shape, le) for shape in dims]
-        frame.verify()
-
-    cfg = NetConfig.from_obj(header["config"])
-    if cfg.dtype != header["dtype"]:
-        raise VersionMismatch("header dtype disagrees with config dtype")
+        header, payload = read_frame(fh, MAGIC, FORMAT_VERSION,
+                                     wrong_kind=VersionMismatch, corrupt=ChecksumMismatch)
+    try:
+        cfg = NetConfig.from_obj(header["config"])
+        seed = int(header["seed"])
+        ts_obj = header.get("train_state")
+        if ts_obj is not None:
+            epoch, t, alpha = int(ts_obj["epoch"]), int(ts_obj["t"]), float(ts_obj["alpha"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:  # InvalidConfig too
+        raise VersionMismatch(f"header does not describe a network: {e!r}") from e
     unknown = set(cfg.classes) - {s.name for s in VOCABULARY}
     if unknown:
         raise VersionMismatch(f"config names classes outside the vocabulary: {sorted(unknown)}")
     if len(set(cfg.classes)) != len(cfg.classes):
         raise VersionMismatch("config names a class more than once")
-    shapes = _param_shapes(cfg)
-    expected = [(name, list(shape)) for name, shape in shapes.items()]
-    if header.get("train_state") is not None:
-        expected += [(f"{group}/{name}", list(shape)) for group in ("adam.m", "adam.v")
-                     for name, shape in shapes.items()]
-    if sorted(expected) != sorted((e["name"], e["shape"]) for e in header["arrays"]):
-        raise VersionMismatch("array manifest disagrees with the network config")
-    arrays = {entry["name"]: arr.astype(cfg.np_dtype, copy=False)
-              for entry, arr in zip(header["arrays"], raw)}
 
-    params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-    net = ChampNet(config=cfg, params=params, seed=int(header["seed"]))
+    le = _le_dtype(cfg.dtype)
+    shapes = sorted(_param_shapes(cfg).items())
+    sizes = [int(np.prod(shape)) for _, shape in shapes]
+    groups = 1 if ts_obj is None else 3  # the parameters, then Adam's m and v
+    nbytes = groups * sum(sizes) * le.itemsize
+    if payload.size != nbytes:
+        raise VersionMismatch(f"the config implies a {nbytes}-byte payload, "
+                              f"file holds {payload.size}")
+    offsets = np.cumsum(sizes)[:-1]
+    arrays = [{name: part.reshape(shape)
+               for (name, shape), part in zip(shapes, np.split(row, offsets))}
+              for row in payload.view(le).reshape(groups, -1)]
 
-    ts_obj = header.get("train_state")
-    train_state = None
-    if ts_obj is not None:
-        moments_m = {k[len("adam.m/"):]: a for k, a in arrays.items()
-                     if k.startswith("adam.m/")}
-        moments_v = {k[len("adam.v/"):]: a for k, a in arrays.items()
-                     if k.startswith("adam.v/")}
-        adam = AdamState(m=moments_m, v=moments_v, t=int(ts_obj["t"]), alpha=ts_obj["alpha"],
-                         beta1=ts_obj["beta1"], beta2=ts_obj["beta2"],
-                         epsilon=ts_obj["epsilon"])
-        train_state = TrainState(epoch=int(ts_obj["epoch"]), adam=adam)
-    return net, train_state
+    net = ChampNet(config=cfg, params=arrays[0], seed=seed)
+    if ts_obj is None:
+        return net, None
+    adam = AdamState(m=arrays[1], v=arrays[2], t=t, alpha=alpha)
+    return net, TrainState(epoch=epoch, adam=adam)
 
 
 def load_checkpoint(path: str | os.PathLike) -> ChampNet:

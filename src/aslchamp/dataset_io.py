@@ -3,21 +3,26 @@
 A dataset file is one ``framing`` frame (all integers little-endian):
 
     bytes  0..10   magic "ASLCHAMP-DS"
-    u32            format version (2)
+    u32            format version (3)
     u32            header length in bytes
     header         UTF-8 JSON: {"schema_version": 1, "provenance": "...",
                    "samples": [{"label": "COFFEE", "signer_id": "s00",
                    "handedness": "right", "duration_s": 3.0, "T": 217}, ...]}
-    payload        per sample, in header order, its five arrays back to back:
-                   timestamps (T,) f8, locations (T, 2, 25, 3) f8,
-                   rotations (T, 2, 25, 3) f8, hand_rotation (T, 2, 3) f8,
-                   present (T, 2) u8 (0 or 1) -- 2458 bytes per frame
-    u64 tail       first 8 bytes of SHA-256 over the payload
+    payload        five columns, each holding every sample's array in
+                   header order: timestamps (T,) f8, then locations
+                   (T, 2, 25, 3) f8, rotations (T, 2, 25, 3) f8,
+                   hand_rotation (T, 2, 3) f8, and present (T, 2) u8 (0 or 1)
+                   last -- 2458 bytes per frame
+    u64 tail       first 8 bytes of SHA-256 over every byte before it
 
-Floats are little-endian IEEE doubles, so a read-back dataset is bit-identical
-to what was written; ``schema_version`` is the dataset's own field, carried
-through unchanged.  The file suffix does not matter.  Version 1 files (JSON
-lines) are refused with a message to regenerate them with ``gen-data``.
+The checksum is verified before the header is read.  Every f8 column starts
+at a multiple of 8 bytes, so a read-back sample's arrays are aligned views of
+the one payload buffer.  Floats are little-endian IEEE doubles, so a
+read-back dataset is bit-identical to what was written; ``schema_version`` is
+the dataset's own field, carried through unchanged.  The file suffix does not
+matter.  Version 1 files (JSON lines) are refused with a message to
+regenerate them with ``gen-data``; version 2 files (sample-major payload,
+header outside the checksum) are refused with no converter.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import os
 
 import numpy as np
 
-from .framing import FrameReader, write_frame
+from .framing import read_frame, write_frame
 from .gesture import (
     NUM_JOINTS,
     GestureDataset,
@@ -37,9 +42,9 @@ from .gesture import (
 )
 
 MAGIC = b"ASLCHAMP-DS"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# Each sample array, in payload order: name, on-disk dtype, shape of one frame.
+# The payload columns, in order: name, on-disk dtype, shape of one frame.
 _COLUMNS: tuple[tuple[str, np.dtype, tuple[int, ...]], ...] = (
     ("timestamps", np.dtype("<f8"), ()),
     ("locations", np.dtype("<f8"), (2, NUM_JOINTS, 3)),
@@ -72,7 +77,7 @@ def write_dataset(ds: GestureDataset, path: str | os.PathLike) -> None:
                      "T": s.timestamps.size} for s in ds.samples],
     }
     arrays = (np.ascontiguousarray(getattr(s, name), dtype=dtype)
-              for s in ds.samples for name, dtype, _ in _COLUMNS)
+              for name, dtype, _ in _COLUMNS for s in ds.samples)
     with open(path, "wb") as fh:
         write_frame(fh, MAGIC, FORMAT_VERSION, header, arrays)
 
@@ -111,8 +116,6 @@ def _sample(entry: dict, columns: dict[str, np.ndarray], i: int) -> GestureSampl
         duration_s = float(duration_s)
     except OverflowError as e:  # an integer beyond the float range
         raise SchemaError(f"sample {i}: duration_s out of range") from e
-    if (columns["present"] > 1).any():
-        raise SchemaError(f"sample {i}: 'present' bytes must be 0 or 1")
     sample = GestureSample(label=label, signer_id=signer_id, handedness=handedness,
                            duration_s=duration_s, **columns)
     report = validate_sample(sample)
@@ -125,23 +128,32 @@ def _sample(entry: dict, columns: dict[str, np.ndarray], i: int) -> GestureSampl
 def read_dataset(path: str | os.PathLike) -> GestureDataset:
     """Read a dataset file.
 
-    Raises FormatError when the file is not a version 2 dataset file or its
-    frame is broken (truncated, malformed header, length or checksum
-    mismatch), and SchemaError when a sample is not a valid sample.
+    Raises FormatError when the file is not a version 3 dataset file or its
+    frame is broken (truncated, failing the checksum, malformed header or a
+    payload of another length than the header implies), and SchemaError
+    when a sample is not a valid sample.
     """
     with open(path, "rb") as fh:
         if fh.peek(1)[:1] == b"{":
             raise FormatError("a version 1 (JSON lines) dataset file is no longer "
                               "read; regenerate it with gen-data")
-        frame = FrameReader(fh, MAGIC, FORMAT_VERSION, wrong_kind=FormatError,
-                            corrupt=FormatError)
-        header = frame.header
-        counts = _frame_counts(header)
-        frame.expect_payload(sum(counts) * FRAME_BYTES)
-        columns = [{name: frame.read_array((t,) + shape, dtype)
-                    for name, dtype, shape in _COLUMNS} for t in counts]
-        frame.verify()
-    samples = tuple(_sample(entry, cols, i)
-                    for i, (entry, cols) in enumerate(zip(header["samples"], columns)))
+        header, payload = read_frame(fh, MAGIC, FORMAT_VERSION, wrong_kind=FormatError,
+                                     corrupt=FormatError)
+    counts = _frame_counts(header)
+    frames = sum(counts)
+    if payload.size != frames * FRAME_BYTES:
+        raise FormatError(f"header implies a {frames * FRAME_BYTES}-byte payload, "
+                          f"file holds {payload.size}")
+    columns, pos = {}, 0
+    for name, dtype, shape in _COLUMNS:
+        size = frames * dtype.itemsize * int(np.prod(shape))
+        columns[name] = payload[pos:pos + size].view(dtype).reshape((frames,) + shape)
+        pos += size
+    if (columns["present"] > 1).any():
+        raise SchemaError("'present' bytes must be 0 or 1")
+    splits = np.cumsum(counts)[:-1]
+    parts = {name: np.split(column, splits) for name, column in columns.items()}
+    samples = tuple(_sample(entry, {name: arrays[i] for name, arrays in parts.items()}, i)
+                    for i, entry in enumerate(header["samples"]))
     return GestureDataset(samples=samples, schema_version=header["schema_version"],
                           provenance=header["provenance"])

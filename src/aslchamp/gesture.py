@@ -17,10 +17,10 @@ Feature layout (one row per frame, fixed concatenation order):
     [left joint 0 loc xyz, left joint 0 rot pyr, ..., left joint 24 loc/rot,
      left hand_rotation pyr,
      right joint 0 ..., right hand_rotation pyr]            -> 306 columns
-    [+ left presence, right presence]  when presence flags are enabled -> 308
 
 Rotations are scaled by 1/180 so encoded values lie in [-1, 1]; locations are
-centered on the first frame's midpoint of the two wrists (joint 0).
+centered on the first frame's midpoint of the two wrists (joint 0) and
+expressed in units of LOCATION_SCALE_M.  An absent hand's columns are zero.
 """
 
 from __future__ import annotations
@@ -265,22 +265,6 @@ def validate_dataset(ds: GestureDataset) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    """Feature scaling so downstream tanh layers see O(1) inputs.
-
-    Rotations divide by ROTATION_SCALE_DEG (degrees to [-1, 1]); locations
-    are centered on the first frame's wrist midpoint and expressed in units
-    of LOCATION_SCALE_M.  ``presence_flags`` appends one 0/1 column per hand.
-    """
-
-    presence_flags: bool = False
-
-    @property
-    def feature_dim(self) -> int:
-        return FEATURE_DIM + (2 if self.presence_flags else 0)
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Dense T x D encoding of one sample; ``mask_len`` is the pre-padding length."""
@@ -319,8 +303,10 @@ def _wrist_center(sample: GestureSample) -> np.ndarray:
     return wrists.mean(axis=0) if len(wrists) else np.zeros(3)
 
 
-def encode_features(sample: GestureSample, cfg: EncodingConfig = EncodingConfig()) -> FeatureMatrix:
-    """Encode a validated sample into its T x D feature matrix (deterministic)."""
+def encode_features(sample: GestureSample) -> FeatureMatrix:
+    """Encode a validated sample into its T x FEATURE_DIM feature matrix, in
+    the module docstring's layout (deterministic); an absent hand's columns
+    are zero."""
     require_valid(sample)
     t = sample.timestamps.size
     loc = (sample.locations - _wrist_center(sample)) / LOCATION_SCALE_M
@@ -330,8 +316,6 @@ def encode_features(sample: GestureSample, cfg: EncodingConfig = EncodingConfig(
         sample.hand_rotation / ROTATION_SCALE_DEG,
     ], axis=2)
     values = np.where(sample.present[:, :, None], hands, 0.0).reshape(t, FEATURE_DIM)
-    if cfg.presence_flags:
-        values = np.hstack([values, sample.present.astype(np.float64)])
     return FeatureMatrix(values=values, mask_len=t)
 
 

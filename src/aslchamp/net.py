@@ -34,7 +34,6 @@ import numpy as np
 from . import nn_ops
 from .gesture import (
     CANONICAL_NAMES,
-    EncodingConfig,
     FEATURE_DIM,
     GestureDataset,
     GestureSample,
@@ -172,13 +171,6 @@ class NetConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-    def encoding(self) -> EncodingConfig:
-        if self.feature_dim == FEATURE_DIM:
-            return EncodingConfig(presence_flags=False)
-        if self.feature_dim == FEATURE_DIM + 2:
-            return EncodingConfig(presence_flags=True)
-        raise InvalidConfig(f"no standard encoding produces feature_dim {self.feature_dim}")
 
     def to_obj(self) -> dict:
         return {
@@ -490,17 +482,23 @@ class EncodedDataset:
         return [self.features[i][:t_max].astype(dtype, copy=False) for i in indices]
 
 
+def _check_feature_dim(cfg: NetConfig) -> None:
+    """A network that reads samples must take ``encode_features``' width."""
+    if cfg.feature_dim != FEATURE_DIM:
+        raise InvalidConfig(f"sample features are {FEATURE_DIM} wide, not {cfg.feature_dim}")
+
+
 def encode_gesture_dataset(ds: GestureDataset, cfg: NetConfig) -> EncodedDataset:
     """Encode every sample and map labels to positions in cfg.classes."""
     if len(ds.samples) == 0:
         raise EmptyDataset("no samples to encode")
     label_index = {name: i for i, name in enumerate(cfg.classes)}
-    enc_cfg = cfg.encoding()
+    _check_feature_dim(cfg)
     feats, ys, signers = [], [], []
     for s in ds.samples:
         if s.label.name not in label_index:
             raise ClassMismatch(f"sample label {s.label.name} not in network classes")
-        m = encode_features(s, enc_cfg)
+        m = encode_features(s)
         feats.append(m.values.astype(cfg.np_dtype))
         ys.append(label_index[s.label.name])
         signers.append(s.signer_id)
@@ -512,9 +510,6 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 512
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     shuffle_seed: int = 0
     early_stop_patience: int | None = None
 
@@ -586,8 +581,7 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
         raise ClassMismatch("training targets out of range for the configured classes")
 
     params = dict(net.params)
-    adam = resume.adam if resume is not None else AdamState.init(
-        params, alpha=tc.learning_rate, beta1=tc.beta1, beta2=tc.beta2, epsilon=tc.epsilon)
+    adam = resume.adam if resume is not None else AdamState.init(params, tc.learning_rate)
     start_epoch = resume.epoch if resume is not None else 0
     report = TrainingReport(start_epoch=start_epoch)
 
@@ -673,7 +667,8 @@ def predict(net: ChampNet, sample: GestureSample) -> Prediction:
     to the lowest class code (numpy argmax picks the first maximum and
     cfg.classes is ordered)."""
     cfg = net.config
-    m = encode_features(sample, cfg.encoding())
+    _check_feature_dim(cfg)
+    m = encode_features(sample)
     probs = forward(net, m.values[:cfg.t_max])[0]
     idx = int(np.argmax(probs))
     return Prediction(label=sign_class(cfg.classes[idx]),

@@ -660,26 +660,25 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First/second moment estimates per parameter, the step counter and the
+    step size; the decays and epsilon are the ADAM_* constants."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @staticmethod
-    def init(params: dict[str, np.ndarray], alpha: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return AdamState(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0, alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon,
-        )
+    def init(params: dict[str, np.ndarray], alpha: float = 1e-3) -> "AdamState":
+        return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
+                         v={k: np.zeros_like(p) for k, p in params.items()}, alpha=alpha)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -688,7 +687,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     if set(params) != set(grads):
         raise ShapeMismatch("params and grads must share keys")
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     new_params = {}
@@ -702,7 +701,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v = b2 * state.v[key] + (1.0 - b2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        new_params[key] = p - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        new_params[key] = p - state.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         new_m[key] = m
         new_v[key] = v
     return new_params, replace(state, m=new_m, v=new_v, t=t)

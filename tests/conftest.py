@@ -67,14 +67,34 @@ def random_sample(rng, n_frames: int = 6, one_handed: bool = False,
     )
 
 
-# The payload layout of a dataset file (version 2), spelled out here rather
-# than imported, so that the tests check the documented layout.
+# The payload layout of a dataset file (version 3), spelled out here rather
+# than imported, so that the tests check the documented layout: one column
+# per array name, each holding every sample's array in header order.
 DATASET_COLUMNS = (("timestamps", "<f8", ()),
                    ("locations", "<f8", (2, gesture.NUM_JOINTS, 3)),
                    ("rotations", "<f8", (2, gesture.NUM_JOINTS, 3)),
                    ("hand_rotation", "<f8", (2, 3)),
                    ("present", "u1", (2,)))
 DATASET_MAGIC = b"ASLCHAMP-DS"
+
+
+def sign_frame(body: bytes) -> bytes:
+    """A framed file's bytes up to its tail, followed by the tail: the first
+    8 bytes of SHA-256 over them."""
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+def frame_parts(raw: bytes, magic: bytes):
+    """(version, header, payload) of the framed file ``raw``."""
+    version, header_len = struct.unpack_from("<II", raw, len(magic))
+    start = len(magic) + 8
+    return version, json.loads(raw[start:start + header_len]), raw[start + header_len:-8]
+
+
+def frame(magic: bytes, version: int, header: dict, payload: bytes) -> bytes:
+    header_bytes = json.dumps(header).encode()
+    return sign_frame(magic + struct.pack("<II", version, len(header_bytes))
+                      + header_bytes + payload)
 
 
 def rewrite_dataset(path, edit):
@@ -87,24 +107,17 @@ def rewrite_dataset(path, edit):
     arrays.  Because the checksum is recomputed, the reader's checks behind
     it are the ones that see the edit.
     """
-    raw = path.read_bytes()
-    start = len(DATASET_MAGIC) + 8
-    version, header_len = struct.unpack_from("<II", raw, len(DATASET_MAGIC))
-    header = json.loads(raw[start:start + header_len])
-    payload = raw[start + header_len:-8]
-    samples, pos = [], 0
-    for entry in header["samples"]:
-        sample = {}
-        for name, dtype, shape in DATASET_COLUMNS:
-            full = (entry["T"],) + shape
-            count = int(np.prod(full))
-            sample[name] = np.frombuffer(payload, dtype, count, pos).reshape(full).copy()
+    version, header, payload = frame_parts(path.read_bytes(), DATASET_MAGIC)
+    counts = [entry["T"] for entry in header["samples"]]
+    samples = [{} for _ in counts]
+    pos = 0
+    for name, dtype, shape in DATASET_COLUMNS:
+        for sample, t in zip(samples, counts):
+            full = (t,) + shape
+            sample[name] = np.frombuffer(payload, dtype, int(np.prod(full)), pos).reshape(full).copy()
             pos += sample[name].nbytes
-        samples.append(sample)
     assert pos == len(payload)
     edit(header, samples)
-    header_bytes = json.dumps(header).encode()
     payload = b"".join(np.ascontiguousarray(s[name], dtype=dtype).tobytes()
-                       for s in samples for name, dtype, _ in DATASET_COLUMNS)
-    path.write_bytes(DATASET_MAGIC + struct.pack("<II", version, len(header_bytes))
-                     + header_bytes + payload + hashlib.sha256(payload).digest()[:8])
+                       for name, dtype, _ in DATASET_COLUMNS for s in samples)
+    path.write_bytes(frame(DATASET_MAGIC, version, header, payload))

@@ -1,11 +1,11 @@
-import json
-import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from aslchamp.checkpoint import (
+    MAGIC,
+    CheckpointError,
     ChecksumMismatch,
     VersionMismatch,
     load_checkpoint,
@@ -16,10 +16,14 @@ from aslchamp.net import (
     EncodedDataset,
     NetConfig,
     TrainConfig,
+    TrainState,
     build_network,
     forward,
     train,
 )
+from aslchamp.nn_ops import AdamState
+
+from conftest import frame, frame_parts
 
 CFG = NetConfig(t_max=40, feature_dim=12, scale_factor=Fraction(1, 32), n_classes=9)
 
@@ -103,44 +107,75 @@ def test_unsupported_version_raises(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
     raw = bytearray(path.read_bytes())
-    raw[13] = 99  # version field follows the 13-byte magic
-    path.write_bytes(bytes(raw))
-    with pytest.raises(VersionMismatch):
-        load_checkpoint(path)
+    for version in (2, 99):  # version 2 kept the header outside the checksum
+        raw[13] = version  # version field follows the 13-byte magic
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionMismatch, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def _rewrite_header(path, edit):
-    """Apply ``edit`` to the parsed JSON header and write it back; the header
-    is outside the payload checksum, so only the manifest check can object."""
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack("<I", raw[17:21])
-    header = json.loads(raw[21:21 + header_len])
+    """Apply ``edit`` to the parsed JSON header and frame the file again with
+    a correct checksum, so the checks behind the checksum see the edit."""
+    version, header, payload = frame_parts(path.read_bytes(), MAGIC)
     edit(header)
-    new = json.dumps(header, separators=(",", ":")).encode()
-    path.write_bytes(raw[:17] + struct.pack("<I", len(new)) + new + raw[21 + header_len:])
-
-
-def _entry(header, name):
-    return next(e for e in header["arrays"] if e["name"] == name)
+    path.write_bytes(frame(MAGIC, version, header, payload))
 
 
 @pytest.mark.parametrize("edit", [
-    lambda h: _entry(h, "lstm1/W_x").update(name="lstm1/W_y"),
-    lambda h: _entry(h, "dense1/W").update(shape=_entry(h, "dense1/W")["shape"][::-1]),
     lambda h: h["config"].update(lstm1_units=h["config"]["lstm1_units"] * 2),
-    lambda h: h.update(train_state={"epoch": 1, "t": 1, "alpha": 1e-3, "beta1": 0.9,
-                                    "beta2": 0.999, "epsilon": 1e-8}),
+    lambda h: h.update(train_state={"epoch": 1, "t": 1, "alpha": 1e-3}),
     lambda h: h["config"].update(classes=["FOO", *h["config"]["classes"][1:]]),
     lambda h: h["config"].update(classes=["COFFEE", *h["config"]["classes"][:-1]]),
-], ids=["renamed-array", "transposed-shape", "config-widths", "train-state-without-moments",
-        "unknown-class", "repeated-class"])
+    lambda h: h["config"].update(scale_factor="1/0"),
+    lambda h: h["config"].pop("t_max"),
+    lambda h: h.update(train_state=[1]),
+], ids=["config-widths", "train-state-without-moments", "unknown-class", "repeated-class",
+        "invalid-config", "missing-config-field", "train-state-not-object"])
 def test_manifest_disagreeing_with_config_raises_version_mismatch(tmp_path, edit):
+    """A signed header that does not describe the payload is refused."""
     net = build_network(CFG, seed=3)
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
     _rewrite_header(path, edit)
     with pytest.raises(VersionMismatch):
         load_checkpoint_full(path)
+
+
+def test_header_is_config_seed_and_train_state_only(tmp_path):
+    net = build_network(CFG, seed=3)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path, train_state=TrainState(epoch=2, adam=AdamState.init(net.params)))
+    version, header, payload = frame_parts(path.read_bytes(), MAGIC)
+    assert version == 3
+    assert sorted(header) == ["config", "seed", "train_state"]
+    assert header["train_state"] == {"epoch": 2, "t": 0, "alpha": 1e-3}
+    assert len(payload) == 3 * 8 * sum(p.size for p in net.params.values())
+
+
+def test_truncated_or_bit_flipped_checkpoint_is_refused(tmp_path):
+    """Every truncation and a one-bit flip at every byte (header included)
+    raises a CheckpointError; nothing else escapes and nothing loads."""
+    cfg = NetConfig(t_max=16, feature_dim=4, scale_factor=Fraction(1, 64), n_classes=2,
+                    classes=("COFFEE", "TEA"), dtype="float32")
+    net = build_network(cfg, seed=1)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path, train_state=TrainState(epoch=1, adam=AdamState.init(net.params)))
+    data = path.read_bytes()
+    broken = tmp_path / "broken.ckpt"
+
+    def refused(blob):
+        broken.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint_full(broken)
+
+    for cut in range(len(data)):
+        refused(data[:cut])
+    bits = np.random.default_rng(0).integers(0, 8, size=len(data))
+    for offset, bit in enumerate(bits):
+        flipped = bytearray(data)
+        flipped[offset] ^= 1 << int(bit)
+        refused(bytes(flipped))
 
 
 def test_train_state_round_trip_enables_exact_resume(tmp_path):

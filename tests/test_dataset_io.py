@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -16,7 +15,8 @@ from aslchamp.dataset_io import (
 )
 from aslchamp.gesture import GestureDataset
 
-from conftest import make_sample, random_sample, rewrite_dataset
+from conftest import (DATASET_COLUMNS, DATASET_MAGIC, frame_parts, make_sample, random_sample,
+                      rewrite_dataset, sign_frame)
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -25,7 +25,7 @@ def test_empty_dataset_round_trip(tmp_path):
     write_dataset(ds, path)
     data = path.read_bytes()
     assert data.startswith(MAGIC)
-    assert data.endswith(hashlib.sha256(b"").digest()[:8])  # header only, empty payload
+    assert data == sign_frame(data[:-8])  # the tail covers magic, version and header
     back = read_dataset(path)
     assert back == ds
 
@@ -81,11 +81,14 @@ def test_bad_json_line_raises_format_error(tmp_path):
     write_dataset(GestureDataset(samples=(make_sample(),)), path)
     data = path.read_bytes()
     path.write_bytes(data + b"{not json\n")  # bytes after the checksum
-    with pytest.raises(FormatError, match="payload"):
+    with pytest.raises(FormatError, match="checksum"):
         read_dataset(path)
     broken = bytearray(data)
     broken[len(MAGIC) + 8] = ord("x")  # the header's opening brace
     path.write_bytes(bytes(broken))
+    with pytest.raises(FormatError, match="checksum"):
+        read_dataset(path)
+    path.write_bytes(sign_frame(bytes(broken[:-8])))  # signed, so the JSON parser sees it
     with pytest.raises(FormatError, match="header"):
         read_dataset(path)
 
@@ -94,10 +97,11 @@ def test_unsupported_schema_version(tmp_path):
     path = tmp_path / "ds.jsonl"
     write_dataset(GestureDataset(samples=(make_sample(),)), path)
     data = bytearray(path.read_bytes())
-    data[len(MAGIC)] = 99  # the u32 format version follows the magic
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="version 99"):
-        read_dataset(path)
+    for version in (2, 99):  # version 2 was sample-major, its header unchecked
+        data[len(MAGIC)] = version  # the u32 format version follows the magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"version {version}"):
+            read_dataset(path)
 
 
 def test_version_1_file_asks_to_regenerate(tmp_path):
@@ -185,6 +189,8 @@ def test_empty_frames_on_read_raises_schema_error(tmp_path):
 
 
 def test_truncated_or_bit_flipped_file_raises_only_documented_errors(tmp_path):
+    """Every truncation and a one-bit flip at every byte (header included)
+    raises FormatError or SchemaError; nothing else escapes and nothing loads."""
     rng = np.random.default_rng(0)
     samples = (random_sample(rng, n_frames=1, one_handed=True, signer_id="s0"),
                make_sample(n_frames=2, label=gesture.MILK))
@@ -193,19 +199,30 @@ def test_truncated_or_bit_flipped_file_raises_only_documented_errors(tmp_path):
     data = path.read_bytes()
     broken = tmp_path / "broken.jsonl"
 
-    def read_back(blob):
+    def refused(blob):
         broken.write_bytes(blob)
-        try:
+        with pytest.raises((FormatError, SchemaError)):
             read_dataset(broken)
-        except (FormatError, SchemaError):
-            pass
 
     for cut in range(len(data)):
-        read_back(data[:cut])
-    for offset, bit in zip(rng.integers(0, len(data), size=400), rng.integers(0, 8, size=400)):
+        refused(data[:cut])
+    for offset, bit in enumerate(rng.integers(0, 8, size=len(data))):
         flipped = bytearray(data)
         flipped[offset] ^= 1 << int(bit)
-        read_back(bytes(flipped))
+        refused(bytes(flipped))
+
+
+def test_payload_is_column_major_and_read_as_aligned_views(tmp_path):
+    samples = (make_sample(n_frames=3, value=1.0), make_sample(n_frames=2, value=2.0))
+    path = tmp_path / "ds.ds"
+    write_dataset(GestureDataset(samples=samples), path)
+    _, _, payload = frame_parts(path.read_bytes(), DATASET_MAGIC)
+    assert payload == b"".join(np.ascontiguousarray(getattr(s, name), dtype).tobytes()
+                               for name, dtype, _ in DATASET_COLUMNS for s in samples)
+    for sample in read_dataset(path).samples:
+        for name, _, _ in DATASET_COLUMNS[:-1]:  # the f8 columns
+            arr = getattr(sample, name)
+            assert not arr.flags.owndata and arr.ctypes.data % 8 == 0
 
 
 def test_unknown_label_raises_schema_error(tmp_path):

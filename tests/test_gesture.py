@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from aslchamp import gesture
 from aslchamp.synth import default_templates
 from aslchamp.gesture import (
-    EncodingConfig,
     FeatureMatrix,
     GestureSample,
     InvalidSample,
@@ -145,17 +144,6 @@ def test_encode_rotation_scaling_is_exact():
     assert m.values[0, 153 + 150] == 0.5
 
 
-def test_encode_presence_flags_dimension_and_values(rng):
-    sample = random_sample(rng, one_handed=True)
-    cfg = EncodingConfig(presence_flags=True)
-    m = encode_features(sample, cfg)
-    assert m.cols == 308
-    assert np.all(m.values[:, 306] == 0.0)  # left hand absent
-    assert np.all(m.values[:, 307] == 1.0)
-    # absent hand encodes as zeros
-    assert np.all(m.values[:, :153] == 0.0)
-
-
 def test_encode_invalid_sample_raises():
     sample = dataclasses.replace(make_sample(), duration_s=123.0)
     with pytest.raises(InvalidSample):
@@ -191,7 +179,7 @@ def test_encoded_rotations_lie_in_unit_interval(n_frames, seed):
         assert np.all(np.abs(hand_rot) <= 1.0)
 
 
-def reference_encode(sample: GestureSample, presence_flags: bool) -> np.ndarray:
+def reference_encode(sample: GestureSample) -> np.ndarray:
     """Per-frame encoder written from the module docstring's column layout."""
     present = sample.present.tolist()
     wrists = [sample.locations[0, s, 0] for s in (0, 1) if present[0][s]]
@@ -207,8 +195,6 @@ def reference_encode(sample: GestureSample, presence_flags: bool) -> np.ndarray:
                 row.extend((sample.locations[k, s, j] - center) / LOCATION_SCALE_M)
                 row.extend(sample.rotations[k, s, j] / ROTATION_SCALE_DEG)
             row.extend(sample.hand_rotation[k, s] / ROTATION_SCALE_DEG)
-        if presence_flags:
-            row.extend([float(present[k][0]), float(present[k][1])])
         rows.append(row)
     return np.array(rows)
 
@@ -220,13 +206,13 @@ def drawn_sample(n_frames: int, seed: int, one_handed: bool, mirrored: bool) -> 
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 ** 31),
-       st.booleans(), st.booleans(), st.booleans())
+       st.booleans(), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_encode_matches_per_frame_reference(n_frames, seed, one_handed, mirrored,
-                                            presence_flags):
+def test_encode_matches_per_frame_reference(n_frames, seed, one_handed, mirrored):
     sample = drawn_sample(n_frames, seed, one_handed, mirrored)
-    m = encode_features(sample, EncodingConfig(presence_flags=presence_flags))
-    assert np.array_equal(m.values, reference_encode(sample, presence_flags))
+    m = encode_features(sample)
+    assert m.cols == 306
+    assert np.array_equal(m.values, reference_encode(sample))
 
 
 # ---------------------------------------------------------------------------

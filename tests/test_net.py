@@ -313,7 +313,7 @@ def test_predict_equals_forward_on_the_zero_padded_sample(rng):
     net = drawn_head_network(cfg, seed=4)
     for n_frames in (15, 55):  # the second is truncated to t_max
         sample = random_sample(rng, n_frames=n_frames)
-        m = gesture.encode_features(sample, cfg.encoding())
+        m = gesture.encode_features(sample)
         want = forward(net, gesture.pad_or_truncate(m, cfg.t_max).values)[0]
         got = predict(net, sample).distribution
         assert len(set(got.tolist())) > 1
@@ -518,3 +518,12 @@ def test_encode_gesture_dataset_maps_labels_and_rejects_unknown():
                           classes=("COFFEE", "TEA"))
     with pytest.raises(ClassMismatch):
         encode_gesture_dataset(ds, two_class)
+
+
+def test_sample_paths_refuse_a_feature_dim_other_than_306(rng):
+    from aslchamp.gesture import GestureDataset
+    sample = random_sample(rng)
+    with pytest.raises(InvalidConfig):
+        predict(build_network(TINY, seed=0), sample)  # feature_dim 12
+    with pytest.raises(InvalidConfig):
+        encode_gesture_dataset(GestureDataset(samples=(sample,)), TINY)
