@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform width scale, e.g. 1/16")
     p.add_argument("--t-max", type=int, default=651)
     p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
-    p.add_argument("--dropout", type=float, default=0.6)
+    p.add_argument("--dropout", type=float, default=0.6,
+                   help="dense dropout rate at the published widths; it is "
+                        "multiplied by --scale (0.6 x 1/16 = 0.0375)")
     p.add_argument("--split-unit", choices=("sample", "signer"), default="signer")
     p.add_argument("--fractions", type=_numbers(3), default=(0.8, 0.1, 0.1))
     p.add_argument("--patience", type=int, default=None)

@@ -3,8 +3,9 @@ layers, then three tanh dense layers with dropout and a softmax output.
 
 Published widths (conv 512/256, LSTM 512/256, dense 512/256/128) are the
 defaults; ``scale_factor`` shrinks every width uniformly so the same shape
-trains in desk time.  The output layer starts at zero, so an untrained
-network predicts the exactly uniform distribution and loss ln(K).
+trains in desk time, and the dense dropout rate with it.  The output layer
+starts at zero, so an untrained network predicts the exactly uniform
+distribution and loss ln(K); ``train`` draws it when training starts.
 
 Parameters live in ``ChampNet.params`` under "<layer>/<name>" keys, each in
 the layout its kernel uses: an LSTM layer is ``W_x (D, 4H)``, ``W_h (H, 4H)``,
@@ -122,9 +123,9 @@ class NetConfig:
             raise InvalidConfig(f"{len(self.classes)} class names != n_classes {self.n_classes}")
         positives = (self.t_max, self.feature_dim, self.conv1_filters, self.conv2_filters,
                      self.kernel_size, self.pool, self.lstm1_units, self.lstm2_units,
-                     *self.dense_units)
-        if any(v < 1 for v in positives):
-            raise InvalidConfig("all size fields must be positive")
+                     *self.dense_units, self.n_classes)
+        if any(type(v) is not int or v < 1 for v in positives):
+            raise InvalidConfig("all size fields must be positive integers")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidConfig(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.dtype not in ("float32", "float64"):
@@ -167,6 +168,11 @@ class NetConfig:
     @property
     def flat_dim(self) -> int:
         return self.pooled_len(2) * self.lstm2_width
+
+    @property
+    def dense_dropout(self) -> float:
+        """``dropout_rate`` is the rate at the published widths; it scales with them."""
+        return self.dropout_rate * self.scale_factor
 
     @property
     def np_dtype(self):
@@ -237,6 +243,11 @@ def param_count(cfg: NetConfig) -> int:
     return sum(int(np.prod(s)) for s in _param_shapes(cfg).values())
 
 
+def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
 def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
     """Deterministic initialization from the seed.
 
@@ -244,7 +255,7 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
     fan_out)); LSTM input weights are uniform +-sqrt(6/(fan_in+hidden)),
     recurrent weights +-sqrt(1/hidden); the input-side forget bias (the
     forget block of ``b_x``) starts at +1 and the output layer at zero (so an
-    untrained network is exactly uniform).  Each LSTM gate's block is drawn
+    untrained network is exactly uniform; ``train`` draws it).  Each LSTM gate's block is drawn
     as an (H, D) and an (H, H) matrix, gate by gate in the order i, f, g, o,
     and stored transposed into its column block of W_x and W_h.
 
@@ -260,23 +271,19 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
     shapes = _param_shapes(cfg)
     params = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
 
-    def glorot(shape, fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
     for name in ("conv1/K", "conv2/K"):
         f, k, d = shapes[name]
-        params[name] = glorot(shapes[name], k * d, f)
+        params[name] = _glorot(rng, shapes[name], k * d, f, dtype)
     for layer, d, h in _lstm_layers(cfg):
         wx, wh = params[f"{layer}/W_x"], params[f"{layer}/W_h"]
         bound = np.sqrt(1.0 / h)
         for idx in range(len(LSTMCellParams.GATE_ORDER)):
             block = slice(idx * h, (idx + 1) * h)
-            wx[:, block] = glorot((h, d), d, h).T
+            wx[:, block] = _glorot(rng, (h, d), d, h, dtype).T
             wh[:, block] = rng.uniform(-bound, bound, size=(h, h)).astype(dtype).T
         params[f"{layer}/b_x"][h:2 * h] = 1.0  # forget gate
     for i in range(1, len(cfg.dense_widths) + 1):
-        params[f"dense{i}/W"] = glorot(shapes[f"dense{i}/W"], *shapes[f"dense{i}/W"])
+        params[f"dense{i}/W"] = _glorot(rng, shapes[f"dense{i}/W"], *shapes[f"dense{i}/W"], dtype)
     return ChampNet(config=cfg, params=params, seed=seed)
 
 
@@ -379,7 +386,7 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     for i in range(1, 4):
         act, dcache = dense_forward(act, p[f"dense{i}/W"], p[f"dense{i}/b"], activation="tanh")
         mode = "train" if train else "infer"
-        act, mask = dropout_forward(act, cfg.dropout_rate, mode, rng)
+        act, mask = dropout_forward(act, cfg.dense_dropout, mode, rng)
         cache[f"dense{i}"] = dcache
         cache[f"drop{i}"] = mask
     logits, out_cache = dense_forward(act, p["out/W"], p["out/b"])
@@ -404,7 +411,7 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     g, grads["out/W"], grads["out/b"] = dense_backward(cache["out"],
                                                        grad_logits.astype(cfg.np_dtype))
     for i in range(3, 0, -1):
-        g = dropout_backward(g, cache[f"drop{i}"], cfg.dropout_rate)
+        g = dropout_backward(g, cache[f"drop{i}"], cfg.dense_dropout)
         g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense_backward(cache[f"dense{i}"], g)
 
     g = g.reshape(cache["h2_shape"])
@@ -570,9 +577,11 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
           tc: TrainConfig, resume: TrainState | None = None):
     """Mini-batch Adam with the fused softmax cross-entropy.
 
-    Returns (trained_net, report, train_state).  Deterministic given the
-    shuffle seed; raises DivergenceDetected (carrying the last finite-loss
-    network) if the loss goes non-finite.
+    Returns (trained_net, report, train_state).  Without ``resume``, an
+    all-zero output layer is first drawn from uniform Glorot: from a zero
+    head, Adam merges classes early for good (see README).  Deterministic
+    given the shuffle seed and ``net.seed``; raises DivergenceDetected
+    (carrying the last finite-loss network) if the loss goes non-finite.
     """
     cfg = net.config
     if len(train_set) == 0:
@@ -581,12 +590,16 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
         raise ClassMismatch("training targets out of range for the configured classes")
 
     params = dict(net.params)
+    last_good = dict(params)  # until an epoch finishes, the caller's network
+    if resume is None and not params["out/W"].any():
+        w = params["out/W"]
+        rng = np.random.default_rng(np.random.SeedSequence((net.seed, 1)))  # not build_network's
+        params["out/W"] = _glorot(rng, w.shape, *w.shape, w.dtype)
     adam = resume.adam if resume is not None else AdamState.init(params, tc.learning_rate)
     start_epoch = resume.epoch if resume is not None else 0
     report = TrainingReport(start_epoch=start_epoch)
 
     n = len(train_set)
-    last_good = dict(params)
     best_val = np.inf
     stall = 0
     loss_history: list[float] = []

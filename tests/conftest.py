@@ -114,7 +114,8 @@ def rewrite_dataset(path, edit):
     for name, dtype, shape in DATASET_COLUMNS:
         for sample, t in zip(samples, counts):
             full = (t,) + shape
-            sample[name] = np.frombuffer(payload, dtype, int(np.prod(full)), pos).reshape(full).copy()
+            count = int(np.prod(full))
+            sample[name] = np.frombuffer(payload, dtype, count, pos).reshape(full).copy()
             pos += sample[name].nbytes
     assert pos == len(payload)
     edit(header, samples)

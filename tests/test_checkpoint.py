@@ -130,8 +130,11 @@ def _rewrite_header(path, edit):
     lambda h: h["config"].update(scale_factor="1/0"),
     lambda h: h["config"].pop("t_max"),
     lambda h: h.update(train_state=[1]),
+    lambda h: h["config"].update(t_max=40.0),
+    lambda h: h["config"].update(n_classes=9.0),
 ], ids=["config-widths", "train-state-without-moments", "unknown-class", "repeated-class",
-        "invalid-config", "missing-config-field", "train-state-not-object"])
+        "invalid-config", "missing-config-field", "train-state-not-object", "float-size",
+        "float-class-count"])
 def test_manifest_disagreeing_with_config_raises_version_mismatch(tmp_path, edit):
     """A signed header that does not describe the payload is refused."""
     net = build_network(CFG, seed=3)
