@@ -52,14 +52,10 @@ class ChecksumMismatch(CheckpointError):
     pass
 
 
-def _le_dtype(dtype: str) -> np.dtype:
-    return np.dtype("<f4" if dtype == "float32" else "<f8")
-
-
 def save_checkpoint(net: ChampNet, path: str | os.PathLike,
                     train_state: TrainState | None = None) -> None:
     cfg = net.config
-    le = _le_dtype(cfg.dtype)
+    le = np.dtype(cfg.np_dtype).newbyteorder("<")
     groups = [net.params]
     if train_state is not None:
         groups += [train_state.adam.m, train_state.adam.v]
@@ -67,8 +63,10 @@ def save_checkpoint(net: ChampNet, path: str | os.PathLike,
         "config": cfg.to_obj(),
         "seed": net.seed,
         "train_state": None if train_state is None else {
-            "epoch": train_state.epoch, "t": train_state.adam.t,
-            "alpha": train_state.adam.alpha},
+            "epoch": train_state.epoch,
+            "t": train_state.adam.t,
+            "alpha": train_state.adam.alpha,
+        },
     }
     with open(path, "wb") as fh:
         write_frame(fh, MAGIC, FORMAT_VERSION, header,
@@ -95,7 +93,7 @@ def load_checkpoint_full(path: str | os.PathLike):
     if len(set(cfg.classes)) != len(cfg.classes):
         raise VersionMismatch("config names a class more than once")
 
-    le = _le_dtype(cfg.dtype)
+    le = np.dtype(cfg.np_dtype).newbyteorder("<")
     shapes = sorted(_param_shapes(cfg).items())
     sizes = [int(np.prod(shape)) for _, shape in shapes]
     groups = 1 if ts_obj is None else 3  # the parameters, then Adam's m and v

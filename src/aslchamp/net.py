@@ -255,9 +255,10 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
     fan_out)); LSTM input weights are uniform +-sqrt(6/(fan_in+hidden)),
     recurrent weights +-sqrt(1/hidden); the input-side forget bias (the
     forget block of ``b_x``) starts at +1 and the output layer at zero (so an
-    untrained network is exactly uniform; ``train`` draws it).  Each LSTM gate's block is drawn
-    as an (H, D) and an (H, H) matrix, gate by gate in the order i, f, g, o,
-    and stored transposed into its column block of W_x and W_h.
+    untrained network is exactly uniform; ``train`` draws it).  Each LSTM
+    gate's block is drawn as an (H, D) and an (H, H) matrix, gate by gate in
+    the order i, f, g, o, and stored transposed into its column block of W_x
+    and W_h.
 
     Plain Glorot keeps the tanh stack out of saturation: on 128 desk
     samples at scale 1/16 no conv or dense unit starts at |y| > 0.99.
@@ -593,7 +594,7 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
     last_good = dict(params)  # until an epoch finishes, the caller's network
     if resume is None and not params["out/W"].any():
         w = params["out/W"]
-        rng = np.random.default_rng(np.random.SeedSequence((net.seed, 1)))  # not build_network's
+        rng = np.random.default_rng(np.random.SeedSequence((net.seed, 1)))  # its own stream
         params["out/W"] = _glorot(rng, w.shape, *w.shape, w.dtype)
     adam = resume.adam if resume is not None else AdamState.init(params, tc.learning_rate)
     start_epoch = resume.epoch if resume is not None else 0

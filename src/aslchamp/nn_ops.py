@@ -677,8 +677,11 @@ class AdamState:
 
     @staticmethod
     def init(params: dict[str, np.ndarray], alpha: float = 1e-3) -> "AdamState":
-        return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
-                         v={k: np.zeros_like(p) for k, p in params.items()}, alpha=alpha)
+        return AdamState(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+            t=0, alpha=alpha,
+        )
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
