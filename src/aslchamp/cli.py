@@ -189,6 +189,17 @@ def cmd_train(args) -> int:
     from .evaluation import SplitSpec, split_dataset
     from .seeds import STAGE_SPLIT, STAGE_TRAIN, child_seed
 
+    try:
+        tc = netmod.TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            learning_rate=args.lr,
+            shuffle_seed=child_seed(args.seed, STAGE_TRAIN),
+            early_stop_patience=args.patience,
+        )
+    except netmod.InvalidConfig as e:
+        raise UsageError(str(e))
+
     ds = _load_dataset(args.data)
     class_names = tuple(sc.name for sc in sorted({s.label for s in ds.samples}))
 
@@ -217,17 +228,6 @@ def cmd_train(args) -> int:
     train_ds, val_ds, test_ds = split_dataset(ds, split)
     train_set = netmod.encode_gesture_dataset(train_ds, cfg)
     val_set = netmod.encode_gesture_dataset(val_ds, cfg) if len(val_ds.samples) else None
-
-    try:
-        tc = netmod.TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            shuffle_seed=child_seed(args.seed, STAGE_TRAIN),
-            early_stop_patience=args.patience,
-        )
-    except netmod.InvalidConfig as e:
-        raise UsageError(str(e))
 
     determinism = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
     try:

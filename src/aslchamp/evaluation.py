@@ -57,32 +57,23 @@ def _largest_remainder(total: int, fractions) -> list[int]:
 def split_dataset(ds: GestureDataset, spec: SplitSpec):
     """Exact partition (no overlap, union = ds), deterministic from the seed.
 
-    With the signer unit, every sample of a signer lands in one split.
+    The units, sample indices or sorted signer ids, are permuted and
+    apportioned over the splits, and each sample follows its unit.
     """
     n = len(ds.samples)
     if n == 0:
         raise InsufficientData("empty dataset")
+    keys = range(n) if spec.unit == "sample" else [s.signer_id for s in ds.samples]
+    units = sorted(set(keys))
+    if spec.unit == "signer" and len(units) < 3:
+        raise InsufficientData(f"signer split needs >= 3 signers, got {len(units)}")
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed,)))
-
-    if spec.unit == "sample":
-        counts = _largest_remainder(n, spec.fractions)
-        order = rng.permutation(n)
-        bounds = np.cumsum([0] + counts)
-        parts = []
-        for i in range(3):
-            chosen = set(order[bounds[i]:bounds[i + 1]].tolist())
-            parts.append([s for j, s in enumerate(ds.samples) if j in chosen])
-    else:
-        signers = sorted({s.signer_id for s in ds.samples})
-        if len(signers) < 3:
-            raise InsufficientData(f"signer split needs >= 3 signers, got {len(signers)}")
-        counts = _largest_remainder(len(signers), spec.fractions)
-        order = rng.permutation(len(signers))
-        bounds = np.cumsum([0] + counts)
-        parts = []
-        for i in range(3):
-            chosen = {signers[j] for j in order[bounds[i]:bounds[i + 1]]}
-            parts.append([s for s in ds.samples if s.signer_id in chosen])
+    order = rng.permutation(len(units))
+    bounds = np.cumsum([0] + _largest_remainder(len(units), spec.fractions))
+    parts = []
+    for i in range(3):
+        chosen = {units[j] for j in order[bounds[i]:bounds[i + 1]]}
+        parts.append([s for key, s in zip(keys, ds.samples) if key in chosen])
 
     return tuple(
         GestureDataset(samples=tuple(p), schema_version=ds.schema_version,
@@ -124,13 +115,13 @@ def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray,
                        n_samples=n, class_names=tuple(class_names))
 
 
-def evaluate(net: ChampNet, ds: GestureDataset, chunk: int = 256) -> EvalMetrics:
+def evaluate(net: ChampNet, ds: GestureDataset) -> EvalMetrics:
     """Pure: repeated calls on the same net and dataset give identical metrics."""
     if len(ds.samples) == 0:
         raise EmptyDataset("nothing to evaluate")
     cfg = net.config
     data = encode_gesture_dataset(ds, cfg)  # raises ClassMismatch on bad labels
-    probs = infer(net, data.chunks(cfg.t_max, cfg.np_dtype, chunk))
+    probs = infer(net, data.chunks(cfg.t_max, cfg.np_dtype))
     return confusion_from_predictions(data.y, probs.argmax(axis=1), cfg.classes)
 
 

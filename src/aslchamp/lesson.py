@@ -1,10 +1,12 @@
 """Interactive teaching loop as a deterministic state machine.
 
-Each sign presentation is demonstrated twice, then the learner gets a timed
-attempt; a correct attempt advances, an incorrect one re-demonstrates the
-sign, up to three attempts in total.  A sign that exhausts its attempts is
-flagged ``needs_review`` and the lesson moves on.  The machine is decoupled
-from rendering: callers feed it events and act on the returned directives.
+Signs come in batches of three.  Each sign presentation is demonstrated
+twice, then the learner gets a 3-second attempt; a correct attempt advances,
+an incorrect one re-demonstrates the sign, up to three attempts in total.  A
+sign that exhausts its attempts is flagged ``needs_review`` and the lesson
+moves on.  This pacing is fixed: ``LessonPlan`` holds it as class constants
+and has one field, the signs.  The machine is decoupled from rendering:
+callers feed it events and act on the returned directives.
 
 Events are ``Tick`` (the capture deadline or a host heartbeat),
 ``DemoFinished``, and ``AttemptCaptured``.  An event that is illegal in the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -109,12 +111,12 @@ class Finish:
 @dataclass(frozen=True)
 class LessonPlan:
     signs: tuple[SignClass, ...]
-    batch_size: int = 3
-    demo_repetitions: int = 2
-    capture_window_s: float = 3.0
-    max_retries: int = 3
-    welcome_text: str = ("Welcome to the coffee shop. "
-                         "Now I will show you some signs. Ready?")
+    batch_size: ClassVar[int] = 3
+    demo_repetitions: ClassVar[int] = 2
+    capture_window_s: ClassVar[float] = 3.0
+    max_retries: ClassVar[int] = 3
+    welcome_text: ClassVar[str] = ("Welcome to the coffee shop. "
+                                   "Now I will show you some signs. Ready?")
 
     def __post_init__(self):
         object.__setattr__(self, "signs", tuple(self.signs))
@@ -172,12 +174,6 @@ def net_classifier(net) -> Classifier:
 def new_lesson(plan: LessonPlan) -> LessonState:
     if not plan.signs:
         raise InvalidPlan("plan needs at least one sign")
-    if plan.max_retries < 1:
-        raise InvalidPlan("max_retries must be >= 1")
-    if plan.batch_size < 1 or plan.demo_repetitions < 1:
-        raise InvalidPlan("batch_size and demo_repetitions must be >= 1")
-    if plan.capture_window_s <= 0:
-        raise InvalidPlan("capture_window_s must be positive")
     if not all(isinstance(s, SignClass) for s in plan.signs):
         raise InvalidPlan("plan signs must be SignClass values")
     welcome = TranscriptEvent(step=0, kind="welcome", note=plan.welcome_text)

@@ -50,7 +50,6 @@ from .nn_ops import (
     adam_step,
     conv1d_forward,
     conv1d_backward,
-    conv1d_out_len,
     conv1d_ragged_backward,
     conv1d_ragged_forward,
     dense_backward,
@@ -159,10 +158,10 @@ class NetConfig:
     def pooled_len(self, stages: int) -> int:
         t = self.t_max
         for _ in range(stages):
-            t = conv1d_out_len(t, self.kernel_size, 1)
+            t -= self.kernel_size - 1
             if t < self.pool:
                 return 0
-            t = conv1d_out_len(t, self.pool, self.pool)
+            t //= self.pool
         return t
 
     @property
@@ -328,7 +327,7 @@ def _stage_input_len(n: int, length: int, k: int, pool: int) -> int:
     differ plus one constant row, each equal to the full-length stage's row
     bit for bit, and every pooled row past them equals its last row.
     """
-    t_pool = conv1d_out_len(conv1d_out_len(length, k, 1), pool, pool)
+    t_pool = (length - k + 1) // pool
     stored = min(-(-n // pool) + 1, t_pool)
     return length if stored == t_pool else stored * pool + k - 1
 
@@ -462,6 +461,9 @@ def forward(net: ChampNet, batch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+EVAL_CHUNK = 256  # samples per inference batch in ``evaluate`` and validation
+
+
 @dataclass
 class EncodedDataset:
     """Per-sample feature matrices (unpadded) with integer class targets.
@@ -477,7 +479,7 @@ class EncodedDataset:
     def __len__(self):
         return len(self.features)
 
-    def chunks(self, t_max: int, dtype, size: int = 256) -> Iterator[list[np.ndarray]]:
+    def chunks(self, t_max: int, dtype, size: int = EVAL_CHUNK) -> Iterator[list[np.ndarray]]:
         """Every sample in order, as ``batch`` gives them, ``size`` per batch."""
         n = len(self)
         for start in range(0, n, size):
@@ -526,6 +528,10 @@ class TrainConfig:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.early_stop_patience is not None and self.early_stop_patience < 0:
+            raise InvalidConfig(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
 
 
 @dataclass
@@ -564,13 +570,14 @@ class TrainState:
     adam: AdamState
 
 
-def _eval_encoded(net: ChampNet, data: EncodedDataset, chunk: int = 256):
+def _eval_encoded(net: ChampNet, data: EncodedDataset):
     """Mean loss and accuracy in inference mode."""
     cfg = net.config
     n = len(data)
-    probs = infer(net, data.chunks(cfg.t_max, cfg.np_dtype, chunk))
+    probs = infer(net, data.chunks(cfg.t_max, cfg.np_dtype))
     nll = -np.log(np.clip(probs[np.arange(n), data.y], 1e-12, 1.0))
-    total_loss = sum(float(nll[start:start + chunk].sum()) for start in range(0, n, chunk))
+    total_loss = sum(float(nll[start:start + EVAL_CHUNK].sum())
+                     for start in range(0, n, EVAL_CHUNK))
     return total_loss / n, int((probs.argmax(axis=1) == data.y).sum()) / n
 
 
@@ -603,7 +610,6 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
     n = len(train_set)
     best_val = np.inf
     stall = 0
-    loss_history: list[float] = []
 
     for epoch in range(start_epoch + 1, start_epoch + tc.epochs + 1):
         t0 = time.perf_counter()
@@ -632,10 +638,9 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
 
         last_good = dict(params)
         train_loss = epoch_loss / n
-        loss_history.append(train_loss)
         report.train_loss.append(train_loss)
         report.train_accuracy.append(epoch_correct / n)
-        if len(loss_history) > 10 and train_loss > loss_history[-11]:
+        if len(report.train_loss) > 10 and train_loss > report.train_loss[-11]:
             report.nonmonotone_epochs.append(epoch)
 
         stop = False

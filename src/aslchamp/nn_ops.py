@@ -5,10 +5,12 @@ be checked against brute-force oracles and central finite differences.  Arrays
 are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Time-major layouts: a single sequence is (T, D) and a
 batch is (B, T, D).  Ops accept either and preserve which one they were given.
-The first convolution also takes a ragged batch, a sequence of (T_i, D)
-samples standing for the batch zero-padded to a common length
-(``conv1d_ragged_forward`` and its parameter gradient): only each sample's
-own rows are multiplied.
+Only what the network uses is here: convolution is stride 1 with valid
+padding, max pooling takes non-overlapping windows, and an LSTM sequence
+starts from the zero state.  The first convolution also takes a ragged
+batch, a sequence of (T_i, D) samples standing for the batch zero-padded to
+a common length (``conv1d_ragged_forward`` and its parameter gradient):
+only each sample's own rows are multiplied.
 LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
 layer, and every GEMM runs on that layout.  ``lstm_sequence`` projects the
 whole input through W_x in one (T*B, D) x (D, 4H) GEMM before the time
@@ -90,15 +92,11 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 1-D convolution over time (valid padding)
+# 1-D convolution over time (stride 1, valid padding)
 # ---------------------------------------------------------------------------
 
 
-def conv1d_out_len(t: int, k: int, stride: int) -> int:
-    return (t - k) // stride + 1
-
-
-def _check_conv_shapes(x, kernels, bias, stride):
+def _check_conv_shapes(x, kernels, bias):
     if kernels.ndim != 3:
         raise ShapeMismatch(f"kernels must be (F, k, D_in), got {kernels.shape}")
     f, k, d_in = kernels.shape
@@ -106,8 +104,6 @@ def _check_conv_shapes(x, kernels, bias, stride):
         raise ShapeMismatch(f"input dim {x.shape[-1]} != kernel dim {d_in}")
     if bias.shape != (f,):
         raise ShapeMismatch(f"bias shape {bias.shape} != ({f},)")
-    if stride < 1:
-        raise ShapeMismatch(f"stride must be >= 1, got {stride}")
     if x.shape[-2] < k:
         raise ShapeMismatch(f"sequence length {x.shape[-2]} shorter than kernel {k}")
 
@@ -115,35 +111,32 @@ def _check_conv_shapes(x, kernels, bias, stride):
 def _tap_matrix(kernels: np.ndarray, dtype) -> np.ndarray:
     """kernels (F, k, D_in) as one (D_in, k*F) matrix, column a*F + f tap a of filter f."""
     f, k, d_in = kernels.shape
-    return kernels.transpose(2, 1, 0).reshape(d_in, k * f).astype(dtype)
+    return kernels.transpose(2, 1, 0).reshape(d_in, k * f).astype(dtype, copy=False)
 
 
-def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray, stride: int):
-    """Writes out[b, t, f] = bias[f] + sum_a y[b, t*stride + a, a, f], from
-    the products y (B, T, k, F) of every input row with every tap."""
-    k = y.shape[2]
-    last = (out.shape[1] - 1) * stride + 1
+def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray):
+    """Writes out[b, t, f] = bias[f] + sum_a y[b, t + a, a, f], from the
+    products y (B, T, k, F) of every input row with every tap."""
+    t_out = out.shape[1]
     out[...] = bias
-    for a in range(k):
-        out += y[:, a:a + last:stride, a, :]
+    for a in range(y.shape[2]):
+        out += y[:, a:a + t_out, a, :]
 
 
-def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-                   stride: int = 1) -> np.ndarray:
-    """out[t, f] = bias[f] + sum_{a, d} x[t*stride + a, d] * kernels[f, a, d]."""
-    _check_conv_shapes(x, kernels, bias, stride)
+def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """out[t, f] = bias[f] + sum_{a, d} x[t + a, d] * kernels[f, a, d] (stride 1)."""
+    _check_conv_shapes(x, kernels, bias)
     xb, single = _as_batch(x)
     f, k, d_in = kernels.shape
     b, t, _ = xb.shape
     # one GEMM against all taps at once, then gather the shifted tap planes
     y = (xb.reshape(b * t, d_in) @ _tap_matrix(kernels, xb.dtype)).reshape(b, t, k, f)
-    out = np.empty((b, conv1d_out_len(t, k, stride), f), dtype=xb.dtype)
-    _sum_taps(y, bias, out, stride)
+    out = np.empty((b, t - k + 1, f), dtype=xb.dtype)
+    _sum_taps(y, bias, out)
     return out[0] if single else out
 
 
-def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
-                    stride: int = 1):
+def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray):
     """Adjoint of conv1d_forward; returns (grad_x, grad_kernels, grad_bias)."""
     f, k, d_in = kernels.shape
     xb, single = _as_batch(x)
@@ -152,21 +145,20 @@ def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
         raise ShapeMismatch(f"grad_out shape {grad_out.shape} inconsistent with "
                             f"input {x.shape} and kernels {kernels.shape}")
     b, t, _ = xb.shape
-    t_out = conv1d_out_len(t, k, stride)
+    t_out = t - k + 1
     if gb.shape[1] != t_out:
         raise ShapeMismatch(f"grad_out T {gb.shape[1]} != expected {t_out}")
 
     grad_bias = gb.sum(axis=(0, 1), dtype=np.float64).astype(kernels.dtype)
-    last = (t_out - 1) * stride + 1
     # scatter grad_out into zero-padded tap planes, then one GEMM per direction
     gpad = np.zeros((b, t, k, f), dtype=gb.dtype)
     for a in range(k):
-        gpad[:, a:a + last:stride, a, :] = gb
+        gpad[:, a:a + t_out, a, :] = gb
     g2 = gpad.reshape(b * t, k * f)
     gk_flat = g2.T @ xb.reshape(b * t, d_in)  # (k*F, D)
     grad_k = gk_flat.reshape(k, f, d_in).transpose(1, 0, 2).astype(kernels.dtype, copy=False)
 
-    k2 = kernels.transpose(1, 0, 2).reshape(k * f, d_in).astype(gb.dtype)  # (k*F, D)
+    k2 = kernels.transpose(1, 0, 2).reshape(k * f, d_in).astype(gb.dtype, copy=False)  # (k*F, D)
     grad_x = (g2 @ k2).reshape(b, t, d_in)
     return (grad_x[0] if single else grad_x), grad_k, grad_bias
 
@@ -186,7 +178,7 @@ def _check_ragged(xs, kernels: np.ndarray, length: int):
 
 def conv1d_ragged_forward(xs, kernels: np.ndarray, bias: np.ndarray,
                           length: int) -> np.ndarray:
-    """``conv1d_forward`` (stride 1) of the (B, length, D) batch whose sample
+    """``conv1d_forward`` of the (B, length, D) batch whose sample
     i is xs[i], a (T_i, D) array with T_i <= length, followed by zero rows.
 
     Sample by sample, its own rows go through the tap GEMM into one reused
@@ -211,7 +203,7 @@ def conv1d_ragged_forward(xs, kernels: np.ndarray, bias: np.ndarray,
             x = np.concatenate([x, np.zeros_like(x)])
         np.matmul(x, k2, out=y[:len(x)])
         y[len(x):] = 0
-        _sum_taps(y.reshape(1, length, k, f), bias, row[None], 1)
+        _sum_taps(y.reshape(1, length, k, f), bias, row[None])
     return out
 
 
@@ -246,71 +238,58 @@ def conv1d_ragged_backward(xs, kernels: np.ndarray, grad_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Max pooling over time
+# Max pooling over time (non-overlapping windows)
 # ---------------------------------------------------------------------------
 
 
 def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
-    """Returns (pooled, argmax) where argmax holds absolute time indices.
-
-    Ties go to the first index in the window, and a window holding NaN
-    reports its first NaN (numpy argmax convention).  Non-overlapping
-    windows (stride == window) are a reshape of the input to
-    (B, T_out, window, F); other strides take a sliding-window view.
+    """Returns (pooled, argmax) over non-overlapping windows (``stride`` must
+    equal ``window``; rows past the last whole window are dropped).  argmax
+    holds absolute time indices; ties go to the first index in the window,
+    and a window holding NaN reports its first NaN (numpy argmax convention).
     """
     xb, single = _as_batch(x)
     b, t, f = xb.shape
     if window < 1 or window > t:
         raise ShapeMismatch(f"window {window} invalid for T={t}")
-    if stride < 1:
-        raise ShapeMismatch(f"stride must be >= 1, got {stride}")
-    t_out = conv1d_out_len(t, window, stride)
-    if stride == window:
-        win = xb[:, :t_out * window].reshape(b, t_out, window, f)
-        out = win.max(axis=2)
-        # the argmax offset counts the window entries before the first hit
-        # (argmax over a middle axis of length 2 or 3 is slow in numpy)
-        offset = np.zeros(out.shape, dtype=np.min_scalar_type(window))
-        missed = np.ones(out.shape, dtype=bool)
-        for a in range(window - 1):
-            col = win[:, :, a]
-            missed &= (col != out) & (col == col)
-            offset += missed
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(xb, window, axis=1)[:, ::stride]
-        out = win.max(axis=-1)
-        offset = win.argmax(axis=-1)
-    starts = (np.arange(t_out) * stride)[None, :, None]
-    argmax = offset + starts
+    if stride != window:
+        raise ShapeMismatch(f"stride {stride} != window {window}: windows must not overlap")
+    t_out = t // window
+    win = xb[:, :t_out * window].reshape(b, t_out, window, f)
+    out = win.max(axis=2)
+    # the argmax offset counts the window entries before the first hit
+    # (argmax over a middle axis of length 2 or 3 is slow in numpy)
+    offset = np.zeros(out.shape, dtype=np.min_scalar_type(window))
+    missed = np.ones(out.shape, dtype=bool)
+    for a in range(window - 1):
+        col = win[:, :, a]
+        missed &= (col != out) & (col == col)
+        offset += missed
+    argmax = offset + (np.arange(t_out) * window)[None, :, None]
     if single:
         return out[0], argmax[0]
     return out, argmax
 
 
 def maxpool1d_backward(grad_out: np.ndarray, argmax: np.ndarray, input_len: int,
-                       stride: int | None = None) -> np.ndarray:
-    """Scatter each pooled gradient back to its recorded argmax position.
-
-    When windows cannot overlap (stride >= window, recoverable from the
-    argmax layout) the scatter is a vectorized assignment; otherwise it
-    accumulates, since one input position may win several windows.
+                       stride: int) -> np.ndarray:
+    """Scatter each pooled gradient back to its argmax, which must lie in its
+    window of ``maxpool1d_forward``, rows j*stride to (j+1)*stride - 1 (else
+    ShapeMismatch): each input row wins at most once, so it is one assignment.
     """
     gb, single = _as_batch(grad_out)
     ab, _ = _as_batch(argmax)
     if gb.shape != ab.shape:
         raise ShapeMismatch(f"grad_out {grad_out.shape} != argmax {argmax.shape}")
     b, t_out, f = gb.shape
+    if stride * t_out > input_len:
+        raise ShapeMismatch(f"{t_out} windows of {stride} do not fit {input_len} rows")
     grad_x = np.zeros((b, input_len, f), dtype=gb.dtype)
-    if stride is not None and t_out > 0 and stride * (t_out - 1) + 1 <= input_len:
-        offsets = ab - (np.arange(t_out) * stride)[None, :, None]
-        if offsets.min() >= 0 and offsets.max() < stride:
-            # non-overlapping windows: each input index wins at most once
-            view = grad_x[:, :stride * t_out, :].reshape(b, t_out, stride, f)
-            np.put_along_axis(view, offsets[:, :, None, :], gb[:, :, None, :], axis=2)
-            return grad_x[0] if single else grad_x
-    b_idx = np.arange(b)[:, None, None]
-    f_idx = np.arange(f)[None, None, :]
-    np.add.at(grad_x, (b_idx, ab, f_idx), gb)
+    offsets = ab - (np.arange(t_out) * stride)[None, :, None]
+    if t_out and (offsets.min() < 0 or offsets.max() >= stride):
+        raise ShapeMismatch("argmax outside its pooling window")
+    view = grad_x[:, :stride * t_out, :].reshape(b, t_out, stride, f)
+    np.put_along_axis(view, offsets[:, :, None, :], gb[:, :, None, :], axis=2)
     return grad_x[0] if single else grad_x
 
 
@@ -475,9 +454,9 @@ def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h_t, c, cache
 
 
-def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
-                  h0: np.ndarray | None = None, c0: np.ndarray | None = None):
-    """Run the cell over a full sequence; returns (h_seq, cache).
+def lstm_sequence(x: np.ndarray, params: LSTMCellParams):
+    """Run the cell over a full sequence from the zero state; returns
+    (h_seq, cache).
 
     h_seq holds every hidden state: (T, H) for a single sequence, (B, T, H)
     for a batch.  The input projection x W_x is one GEMM over all T*B rows,
@@ -493,13 +472,9 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
         raise ShapeMismatch(f"input dim {d} != {params.input_size}")
     hsz = params.hidden_size
     dtype = xb.dtype
-    h = np.zeros((b, hsz), dtype=dtype) if h0 is None else np.atleast_2d(h0).astype(dtype)
-    c = np.zeros((b, hsz), dtype=dtype) if c0 is None else np.atleast_2d(c0).astype(dtype)
-    if h.shape != (b, hsz) or c.shape != (b, hsz):
-        raise ShapeMismatch("initial state shape mismatch")
     hs = np.empty((t + 1, b, hsz), dtype=dtype)  # hs[s] and cs[s] are step s's inputs
     cs = np.empty((t + 1, b, hsz), dtype=dtype)
-    hs[0], cs[0] = h, c
+    hs[0], cs[0] = 0, 0
 
     operands = _step_operands(params, dtype, (b,))
     xw = xb.transpose(1, 0, 2).reshape(t * b, d) @ params.W_x.astype(dtype, copy=False)
@@ -513,13 +488,12 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams,
     return (h_seq[0] if single else h_seq), cache
 
 
-def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray,
-                           grad_h_last: np.ndarray | None = None,
-                           grad_c_last: np.ndarray | None = None):
+def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray):
     """Backpropagation through time.
 
     Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_params is a
-    dict keyed like LSTMCellParams fields, in the same fused layout.  The
+    dict keyed like LSTMCellParams fields, in the same fused layout, and
+    grad_h0, grad_c0 are the gradients at the zero start state.  The
     loop carries only the recurrent gradient: each gate's gradient is
     formed from the contiguous gate blocks of the cache and written into
     its column block of the fused (B, 4H) gradient row, so the recurrent
@@ -538,8 +512,7 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
 
     d_gates = np.empty((t, b, g4), dtype=dtype)
     d_gate_major = d_gates.reshape(t, b, 4, hsz).transpose(0, 2, 1, 3)
-    dh, dc = (np.zeros((b, hsz), dtype=dtype) if v is None
-              else np.broadcast_to(v, (b, hsz)).astype(dtype) for v in (grad_h_last, grad_c_last))
+    dh, dc = (np.zeros((b, hsz), dtype=dtype) for _ in range(2))
     dcc, tmp = (np.empty((b, hsz), dtype=dtype) for _ in range(2))
     deriv, first = (np.empty((4, b, hsz), dtype=dtype) for _ in range(2))
 

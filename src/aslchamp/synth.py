@@ -52,7 +52,7 @@ class PathSpec:
     kinds:
       point     -- stationary at origin
       circle    -- origin + radius*(cos(th)*axis_u + sin(th)*axis_v),
-                   th = 2*pi*turns*u + phase; negative turns reverse direction
+                   th = 2*pi*turns*u; negative turns reverse direction
       polyline  -- piecewise-linear through waypoints, uniform in u
       taps      -- origin + axis_u*radius*|sin(pi*taps*u)|: `taps` bounces
     """
@@ -63,7 +63,6 @@ class PathSpec:
     axis_v: tuple[float, float, float] = (0.0, 0.0, 1.0)
     radius: float = 0.0
     turns: float = 1.0
-    phase_deg: float = 0.0
     waypoints: tuple[tuple[float, float, float], ...] = ()
     taps: int = 1
 
@@ -73,7 +72,7 @@ class PathSpec:
         if self.kind == "point":
             return np.tile(origin, (u.size, 1))
         if self.kind == "circle":
-            th = 2.0 * math.pi * self.turns * u + math.radians(self.phase_deg)
+            th = 2.0 * math.pi * self.turns * u
             return (origin[None, :]
                     + self.radius * np.cos(th)[:, None] * np.asarray(self.axis_u)[None, :]
                     + self.radius * np.sin(th)[:, None] * np.asarray(self.axis_v)[None, :])
@@ -183,11 +182,12 @@ class SignTemplate:
     nondominant_pose_keys: PoseKeys
     dominant_rotation: RotationKeys
     nondominant_rotation: RotationKeys
-    two_handed: bool = True
+
+    @property
+    def two_handed(self) -> bool:
+        return self.nondominant_path is not None
 
     def validate(self):
-        if self.two_handed != (self.nondominant_path is not None):
-            raise InvalidTemplate(f"{self.sign.name}: two_handed flag inconsistent")
         for keys in (self.dominant_pose_keys, self.nondominant_pose_keys):
             if not keys:
                 raise InvalidTemplate(f"{self.sign.name}: empty pose keys")
@@ -248,7 +248,7 @@ def default_templates() -> dict[str, SignTemplate]:
     add(gesture.MILK,
         dominant_path=PathSpec("taps", origin=(0.10, -0.35, 0.32),
                                axis_u=(0, -1, 0), radius=0.03, taps=3),
-        nondominant_path=None, two_handed=False,
+        nondominant_path=None,
         dominant_pose_keys=((0.0, "open"), (0.2, "fist"), (0.4, "open"),
                             (0.6, "fist"), (0.8, "open"), (1.0, "fist")),
         nondominant_pose_keys=_still("open"),
@@ -333,7 +333,6 @@ class SignerProfile:
     spatial_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
     orientation_jitter_deg: float = 0.0
     noise_std_m: float = 0.0
-    seed: int = 0
     signer_id: str = ""
 
     def __post_init__(self):
@@ -471,7 +470,6 @@ def signer_profiles(spec: DatasetSpec) -> list[SignerProfile]:
             spatial_offset=offset,
             orientation_jitter_deg=spec.orientation_jitter_deg,
             noise_std_m=spec.noise_std_m,
-            seed=i,
             signer_id=f"s{i:02d}",
         ))
     return profiles

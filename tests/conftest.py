@@ -31,6 +31,21 @@ def make_sample(n_frames: int = 5, label=gesture.COFFEE, rate: float = 72.0,
     )
 
 
+# The tests that take most of the suite's time: the desk-scale training runs
+# and the CLI and script runs that train.  `pytest -m "not slow"` leaves them
+# out for a quick loop; plain `pytest` runs everything.
+SLOW_TESTS = frozenset({
+    "test_desk_scale_accuracy", "test_direction_sensitivity", "test_cli_determinism",
+    "test_lesson_sim_perfect_and_hopeless", "test_end_to_end_script_writes_its_artifacts",
+})
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if getattr(item, "originalname", item.name) in SLOW_TESTS:
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -104,6 +104,24 @@ def test_train_epochs_zero_is_usage_error(workspace, tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("flags", [["--lr", "-0.001"], ["--lr", "0"], ["--lr", "nan"],
+                                   ["--lr", "inf"], ["--patience", "-1"]],
+                         ids=["negative-lr", "zero-lr", "nan-lr", "inf-lr", "negative-patience"])
+def test_train_bad_optimizer_flags_are_usage_errors(workspace, tmp_path, flags):
+    ckpt = tmp_path / "x.ckpt"
+    r = run_cli(*TRAIN_MINI, "--data", workspace["data"], "--ckpt", ckpt, *flags)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not ckpt.exists()
+
+
+def test_train_bad_flag_fails_before_the_data_is_read(tmp_path):
+    r = run_cli("train", "--data", tmp_path / "none.ds", "--ckpt", tmp_path / "x.ckpt",
+                "--lr", "0")
+    assert r.returncode == 2, r.stderr
+    assert "learning_rate" in r.stderr
+
+
 def test_train_missing_data_is_runtime_error(tmp_path):
     r = run_cli("train", "--data", tmp_path / "none.jsonl",
                 "--ckpt", tmp_path / "x.ckpt", "--epochs", "1")

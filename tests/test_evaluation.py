@@ -87,6 +87,22 @@ def test_split_determinism():
         assert part_a == part_b
 
 
+def test_split_indices_are_the_recorded_ones():
+    # 20 samples of 10 signers, each signer's two samples ten apart; the
+    # indices were recorded before the two units shared one code path
+    samples = tuple(make_sample(n_frames=3, signer_id=f"s{(7 * j) % 10:02d}")
+                    for j in range(20))
+    ds = GestureDataset(samples=samples)
+    position = {id(s): j for j, s in enumerate(samples)}
+    recorded = {
+        "sample": [[1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19], [0, 5], [8, 14]],
+        "signer": [[0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19], [5, 15], [4, 14]],
+    }
+    for unit, want in recorded.items():
+        parts = split_dataset(ds, SplitSpec(unit=unit, seed=5))
+        assert [[position[id(s)] for s in part.samples] for part in parts] == want
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(fractions=(0.5, 0.5, 0.5))

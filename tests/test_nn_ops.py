@@ -40,24 +40,25 @@ from aslchamp.nn_ops import (
 # ---------------------------------------------------------------------------
 
 
-def conv_oracle(x, kernels, bias, stride=1):
+def conv_oracle(x, kernels, bias):
     """Direct summation with pure-Python floats, a-major then d order."""
     f_count, k, d_in = kernels.shape
-    t_out = (x.shape[0] - k) // stride + 1
+    t_out = x.shape[0] - k + 1
     out = np.zeros((t_out, f_count))
     for t in range(t_out):
         for f in range(f_count):
             acc = float(bias[f])
             for a in range(k):
                 for d in range(d_in):
-                    acc += float(x[t * stride + a, d]) * float(kernels[f, a, d])
+                    acc += float(x[t + a, d]) * float(kernels[f, a, d])
             out[t, f] = acc
     return out
 
 
-def pool_oracle(x, window, stride):
+def pool_oracle(x, window):
+    """Non-overlapping windows, rows past the last whole window dropped."""
     t, f_count = x.shape
-    t_out = (t - window) // stride + 1
+    t_out = t // window
     out = np.empty((t_out, f_count))
     arg = np.empty((t_out, f_count), dtype=int)
     for i in range(t_out):
@@ -65,10 +66,10 @@ def pool_oracle(x, window, stride):
             best = -math.inf
             best_idx = -1
             for w in range(window):
-                v = x[i * stride + w, f]
+                v = x[i * window + w, f]
                 if v > best:  # strict: first index wins ties
                     best = v
-                    best_idx = i * stride + w
+                    best_idx = i * window + w
             out[i, f] = best
             arg[i, f] = best_idx
     return out, arg
@@ -208,17 +209,16 @@ def test_conv_zero_kernels_give_bias(rng):
     assert np.all(out == np.array([4.0, -1.5]))
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_conv_matches_oracle_continuous(rng, stride):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_conv_matches_oracle_continuous(rng, k):
     for _ in range(10):
-        t, k, d, f = (int(rng.integers(4, 12)), int(rng.integers(1, 4)),
-                      int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        t, d, f = int(rng.integers(4, 12)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
         x = rng.standard_normal((t, d))
         kernels = rng.standard_normal((f, k, d))
         bias = rng.standard_normal(f)
-        got = conv1d_forward(x, kernels, bias, stride)
-        want = conv_oracle(x, kernels, bias, stride)
-        assert got.shape == want.shape == ((t - k) // stride + 1, f)
+        got = conv1d_forward(x, kernels, bias)
+        want = conv_oracle(x, kernels, bias)
+        assert got.shape == want.shape == (t - k + 1, f)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -253,8 +253,6 @@ def test_conv_shape_errors(rng):
         conv1d_forward(x, rng.standard_normal((2, 6, 3)), np.zeros(2))
     with pytest.raises(ShapeMismatch):
         conv1d_forward(x, rng.standard_normal((2, 2, 3)), np.zeros(3))
-    with pytest.raises(ShapeMismatch):
-        conv1d_forward(x, rng.standard_normal((2, 2, 3)), np.zeros(2), stride=0)
 
 
 def test_conv_backward_zero_grad_gives_zeros(rng):
@@ -303,7 +301,7 @@ def test_pool_constant_input_ties_to_first_index():
     x = np.ones((6, 2))
     out, arg = maxpool1d_forward(x, 2, 2)
     np.testing.assert_array_equal(arg[:, 0], [0, 2, 4])
-    grad = maxpool1d_backward(np.ones_like(out), arg, 6)
+    grad = maxpool1d_backward(np.ones_like(out), arg, 6, stride=2)
     np.testing.assert_array_equal(grad[:, 0], [1, 0, 1, 0, 1, 0])
 
 
@@ -312,29 +310,28 @@ def test_pool_matches_oracle(rng):
         t = int(rng.integers(3, 14))
         f = int(rng.integers(1, 5))
         window = int(rng.integers(1, t + 1))
-        stride = int(rng.integers(1, 4))
         x = rng.standard_normal((t, f))
-        out, arg = maxpool1d_forward(x, window, stride)
-        want, want_arg = pool_oracle(x, window, stride)
+        out, arg = maxpool1d_forward(x, window, window)
+        want, want_arg = pool_oracle(x, window)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(arg, want_arg)
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 4])
 def test_pool_non_overlapping_matches_oracle_with_ties(rng, window):
-    # stride == window takes the reshape path; small integers make ties common
+    # small integers make ties common
     for _ in range(20):
         t = int(rng.integers(window, 15))
         x = rng.integers(-2, 3, size=(t, 3)).astype(float)
         out, arg = maxpool1d_forward(x, window, window)
-        want, want_arg = pool_oracle(x, window, window)
+        want, want_arg = pool_oracle(x, window)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(arg, want_arg)
     batch = rng.integers(-2, 3, size=(4, 13, 5)).astype(np.float32)
     out, arg = maxpool1d_forward(batch, window, window)
     assert out.dtype == np.float32 and arg.dtype == np.intp
     for b in range(4):
-        want, want_arg = pool_oracle(batch[b], window, window)
+        want, want_arg = pool_oracle(batch[b], window)
         np.testing.assert_array_equal(out[b], want)
         np.testing.assert_array_equal(arg[b], want_arg)
 
@@ -349,15 +346,29 @@ def test_pool_non_overlapping_reports_first_nan_like_argmax():
 def test_pool_backward_conserves_gradient_mass(rng):
     for _ in range(10):
         x = rng.standard_normal((11, 3))
-        out, arg = maxpool1d_forward(x, 3, 2)
+        out, arg = maxpool1d_forward(x, 3, 3)
         grad_out = rng.standard_normal(out.shape)
-        gx = maxpool1d_backward(grad_out, arg, 11)
+        gx = maxpool1d_backward(grad_out, arg, 11, stride=3)
         assert abs(gx.sum() - grad_out.sum()) < 1e-12
 
 
 def test_pool_window_validation(rng):
     with pytest.raises(ShapeMismatch):
-        maxpool1d_forward(rng.standard_normal((3, 2)), 4, 1)
+        maxpool1d_forward(rng.standard_normal((3, 2)), 4, 4)
+
+
+def test_pool_refuses_overlapping_windows_and_stray_argmax(rng):
+    x = rng.standard_normal((8, 2))
+    for stride in (1, 3):
+        with pytest.raises(ShapeMismatch):
+            maxpool1d_forward(x, 2, stride)
+    out, arg = maxpool1d_forward(x, 2, 2)
+    grad_out = np.ones_like(out)
+    for bad in (arg + 2, arg - 2):  # each argmax moved into the next or previous window
+        with pytest.raises(ShapeMismatch):
+            maxpool1d_backward(grad_out, bad, 8, stride=2)
+    with pytest.raises(ShapeMismatch):  # four windows of 2 need 8 rows
+        maxpool1d_backward(grad_out, arg, 7, stride=2)
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +489,6 @@ def test_lstm_sequence_backward_matches_finite_differences(rng):
     assert grad_check(loss_params, arrs, [gparams[n] for n in names]) < 1e-6
 
 
-def test_lstm_sequence_initial_state_gradients(rng):
-    t, d, h_size = 3, 2, 3
-    params = random_lstm_params(rng, d, h_size, scale=0.4)
-    x = rng.standard_normal((t, d))
-    h0 = rng.standard_normal((1, h_size))
-    c0 = rng.standard_normal((1, h_size))
-    proj = rng.standard_normal((t, h_size))
-
-    h_seq, cache = lstm_sequence(x, params, h0=h0, c0=c0)
-    _, _, gh0, gc0 = lstm_sequence_backward(cache, params, proj)
-
-    def loss_h0(h0_):
-        h_, _ = lstm_sequence(x, params, h0=h0_, c0=c0)
-        return float(np.sum(proj * h_))
-
-    def loss_c0(c0_):
-        h_, _ = lstm_sequence(x, params, h0=h0, c0=c0_)
-        return float(np.sum(proj * h_))
-
-    assert grad_check(loss_h0, [h0], [gh0]) < 1e-6
-    assert grad_check(loss_c0, [c0], [gc0]) < 1e-6
-
-
 def test_lstm_shape_errors(rng):
     params = LSTMCellParams.zeros(3, 4)
     with pytest.raises(ShapeMismatch):
@@ -509,17 +497,18 @@ def test_lstm_shape_errors(rng):
         lstm_sequence(np.zeros((4, 5)), params)
 
 
-def batch_major_lstm(x, params, h0=None, c0=None):
-    """The LSTM forward pass with each step's gates as column blocks of one
-    (B, 4H) row: batch-major input projection, sigmoid on the i|f and o
-    blocks, tanh on the g block.  Returns (h_seq, hs, cs, acts, tcs)."""
+def batch_major_lstm(x, params):
+    """The LSTM forward pass from the zero state with each step's gates as
+    column blocks of one (B, 4H) row: batch-major input projection, sigmoid
+    on the i|f and o blocks, tanh on the g block.  Returns (h_seq, hs, cs,
+    acts, tcs)."""
     b, t, d = x.shape
     hsz = params.hidden_size
     wx, wh = params.W_x.astype(x.dtype), params.W_h.astype(x.dtype)
     bias = (params.b_x + params.b_h).astype(x.dtype)
     xw = (x.reshape(b * t, d) @ wx).reshape(b, t, 4 * hsz)
-    hs = [np.zeros((b, hsz), x.dtype) if h0 is None else h0.astype(x.dtype)]
-    cs = [np.zeros((b, hsz), x.dtype) if c0 is None else c0.astype(x.dtype)]
+    hs = [np.zeros((b, hsz), x.dtype)]
+    cs = [np.zeros((b, hsz), x.dtype)]
     acts, tcs = [], []
     for step in range(t):
         act = xw[:, step] + hs[-1] @ wh
@@ -535,15 +524,15 @@ def batch_major_lstm(x, params, h0=None, c0=None):
     return np.stack(hs[1:], axis=1), hs, cs, acts, tcs
 
 
-def batch_major_lstm_backward(x, params, fwd, grad_h_seq, dh=None, dc=None):
+def batch_major_lstm_backward(x, params, fwd, grad_h_seq):
     """BPTT through ``batch_major_lstm``; returns (grad_x, grads, dh0, dc0)."""
     _, hs, cs, acts, tcs = fwd
     b, t, _ = x.shape
     hsz = params.hidden_size
     wx, wh = params.W_x.astype(x.dtype), params.W_h.astype(x.dtype)
     wh_t = np.ascontiguousarray(wh.T)
-    dh = np.zeros((b, hsz), x.dtype) if dh is None else dh.astype(x.dtype)
-    dc = np.zeros((b, hsz), x.dtype) if dc is None else dc.astype(x.dtype)
+    dh = np.zeros((b, hsz), x.dtype)
+    dc = np.zeros((b, hsz), x.dtype)
     d_gates = np.empty((t, b, 4 * hsz), x.dtype)
     for step in range(t - 1, -1, -1):
         act, tc, d = acts[step], tcs[step], d_gates[step]
@@ -576,25 +565,23 @@ def _cast_params(params, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b", [1, 3, 128])
 @pytest.mark.parametrize("h_size", [5, 16, 32, 40])
-@pytest.mark.parametrize("with_state", [False, True])
-def test_lstm_is_bit_identical_to_the_batch_major_step(dtype, b, h_size, with_state):
+@pytest.mark.parametrize("repeat_last", [False, True])
+def test_lstm_is_bit_identical_to_the_batch_major_step(dtype, b, h_size, repeat_last):
     rng = np.random.default_rng(1000 * b + h_size)
     t, d = 9, 16
     params = _cast_params(random_lstm_params(rng, d, h_size), dtype)
     x = rng.standard_normal((b, t, d)).astype(dtype)
-    x[:, -3:] = 0.0  # a zero suffix, like a padded batch
+    # a constant suffix: the last real row repeated, as lstm1 reads it in the
+    # network, or zero rows, like a padded batch
+    x[:, -3:] = x[:, -4:-3] if repeat_last else 0.0
     x[0, 2] = -0.0
     grad_h_seq = rng.standard_normal((b, t, h_size)).astype(dtype)
-    state = ({name: rng.standard_normal((b, h_size)).astype(dtype)
-              for name in ("h0", "c0", "dh", "dc")} if with_state else {})
 
-    h_seq, cache = lstm_sequence(x, params, h0=state.get("h0"), c0=state.get("c0"))
-    gx, grads, gh0, gc0 = lstm_sequence_backward(
-        cache, params, grad_h_seq, grad_h_last=state.get("dh"), grad_c_last=state.get("dc"))
+    h_seq, cache = lstm_sequence(x, params)
+    gx, grads, gh0, gc0 = lstm_sequence_backward(cache, params, grad_h_seq)
 
-    fwd = batch_major_lstm(x, params, h0=state.get("h0"), c0=state.get("c0"))
-    ref_gx, ref_grads, ref_gh0, ref_gc0 = batch_major_lstm_backward(
-        x, params, fwd, grad_h_seq, dh=state.get("dh"), dc=state.get("dc"))
+    fwd = batch_major_lstm(x, params)
+    ref_gx, ref_grads, ref_gh0, ref_gc0 = batch_major_lstm_backward(x, params, fwd, grad_h_seq)
     assert_bits_equal(h_seq, fwd[0])
     assert_bits_equal(gx, ref_gx)
     assert_bits_equal(gh0, ref_gh0)
