@@ -4,14 +4,21 @@
 Uses a small synthetic corpus and a 1/32-width network so the whole pipeline
 finishes in about a minute. See the CLI (`aslchamp --help`) for the real
 command surface.
+
+Each artifact written is reported as a `sha256 <name> <hex>` line, so two
+revisions' outputs can be compared by diffing their stdout (with
+OPENBLAS_NUM_THREADS=1, which makes runs byte-identical).
 """
 
 import argparse
+import hashlib
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+
+def print_sha256(path: Path) -> None:
+    print(f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
 
 
 def main():
@@ -40,6 +47,7 @@ def main():
                              master_seed=args.seed)
     ds = synth.generate_dataset(spec)
     write_dataset(ds, workdir / "dataset.ds")
+    print_sha256(workdir / "dataset.ds")
     print(f"generated {len(ds.samples)} samples")
 
     cfg = netmod.NetConfig(t_max=160, scale_factor=Fraction(1, 32), dtype="float32",
@@ -57,6 +65,7 @@ def main():
           f"train acc {report.train_accuracy[-1]:.3f}")
 
     save_checkpoint(net, workdir / "model.ckpt", train_state=state)
+    print_sha256(workdir / "model.ckpt")
     net = load_checkpoint(workdir / "model.ckpt")
 
     metrics = evaluate(net, test_ds if test_ds.samples else val_ds)
@@ -72,6 +81,7 @@ def main():
     final = simulate_learner(plan, net_classifier(net), profile,
                              synth.default_templates())
     (workdir / "transcript.jsonl").write_text(transcript_to_jsonl(final.transcript))
+    print_sha256(workdir / "transcript.jsonl")
     print(f"lesson complete; needs_review = {list(final.needs_review)}")
 
 

@@ -6,7 +6,7 @@ The file is one ``framing`` frame (all integers little-endian):
     u32            format version (3)
     u32            header length in bytes
     header         UTF-8 JSON: {"config": ..., "seed": ..., "train_state":
-                   null or {"epoch", "t", "alpha"}}
+                   null or {"epoch", "t"}}
     payload        the network parameters under their ``net.params`` names,
                    in sorted order, each C-ordered, then with a train_state
                    the Adam moments m and v in the same order; 32- or 64-bit
@@ -16,7 +16,9 @@ The file is one ``framing`` frame (all integers little-endian):
 The config fixes every array's shape and dtype, so the header lists none.
 An LSTM layer is the four fused arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``,
 ``b_x (4H,)`` and ``b_h (4H,)``.  Files of earlier versions are refused
-with ``VersionMismatch``; there is no converter.
+with ``VersionMismatch``; there is no converter.  The train state holds no
+learning rate: a resumed run takes it from its ``TrainConfig``.  Version 3
+files that still record one as ``"alpha"`` load, and the value is ignored.
 
 Loading verifies magic, version and checksum before it reads the header,
 then that the config is valid, that its classes are distinct
@@ -65,7 +67,6 @@ def save_checkpoint(net: ChampNet, path: str | os.PathLike,
         "train_state": None if train_state is None else {
             "epoch": train_state.epoch,
             "t": train_state.adam.t,
-            "alpha": train_state.adam.alpha,
         },
     }
     with open(path, "wb") as fh:
@@ -84,7 +85,7 @@ def load_checkpoint_full(path: str | os.PathLike):
         seed = int(header["seed"])
         ts_obj = header.get("train_state")
         if ts_obj is not None:
-            epoch, t, alpha = int(ts_obj["epoch"]), int(ts_obj["t"]), float(ts_obj["alpha"])
+            epoch, t = int(ts_obj["epoch"]), int(ts_obj["t"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:  # InvalidConfig too
         raise VersionMismatch(f"header does not describe a network: {e!r}") from e
     unknown = set(cfg.classes) - {s.name for s in VOCABULARY}
@@ -109,7 +110,7 @@ def load_checkpoint_full(path: str | os.PathLike):
     net = ChampNet(config=cfg, params=arrays[0], seed=seed)
     if ts_obj is None:
         return net, None
-    adam = AdamState(m=arrays[1], v=arrays[2], t=t, alpha=alpha)
+    adam = AdamState(m=arrays[1], v=arrays[2], t=t)
     return net, TrainState(epoch=epoch, adam=adam)
 
 

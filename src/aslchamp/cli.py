@@ -94,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_numbers(3), default=(0.8, 0.1, 0.1))
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--resume", action="store_true",
-                   help="continue training from the checkpoint at --ckpt")
+                   help="continue training from the checkpoint at --ckpt; the "
+                        "network config comes from the checkpoint, so --scale, "
+                        "--t-max, --dtype and --dropout are ignored, while --lr, "
+                        "--batch-size, --epochs and --patience apply")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--ckpt", required=True)
@@ -187,6 +190,7 @@ def cmd_train(args) -> int:
     from . import net as netmod
     from .checkpoint import load_checkpoint_full, save_checkpoint
     from .evaluation import SplitSpec, split_dataset
+    from .gesture import InvalidSample
     from .seeds import STAGE_SPLIT, STAGE_TRAIN, child_seed
 
     try:
@@ -226,8 +230,11 @@ def cmd_train(args) -> int:
     split = SplitSpec(fractions=tuple(args.fractions), unit=args.split_unit,
                       seed=child_seed(args.seed, STAGE_SPLIT))
     train_ds, val_ds, test_ds = split_dataset(ds, split)
-    train_set = netmod.encode_gesture_dataset(train_ds, cfg)
-    val_set = netmod.encode_gesture_dataset(val_ds, cfg) if len(val_ds.samples) else None
+    try:
+        train_set = netmod.encode_gesture_dataset(train_ds, cfg)
+        val_set = netmod.encode_gesture_dataset(val_ds, cfg) if len(val_ds.samples) else None
+    except InvalidSample as e:
+        raise DataError(f"invalid sample: {e}")
 
     determinism = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
     try:
@@ -258,6 +265,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
     from .evaluation import SplitSpec, evaluate, render_metrics, split_dataset
+    from .gesture import InvalidSample
     from .net import ClassMismatch
     from .seeds import STAGE_SPLIT, child_seed
 
@@ -273,6 +281,8 @@ def cmd_eval(args) -> int:
     except ClassMismatch as e:
         print(f"class mismatch: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    except InvalidSample as e:
+        raise DataError(f"invalid sample: {e}")
     sys.stdout.write(render_metrics(metrics, "text"))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -8,9 +8,10 @@ arrays over its T frames, hand axis 0 = left and 1 = right:
     timestamps (T,), locations (T, 2, 25, 3), rotations (T, 2, 25, 3),
     hand_rotation (T, 2, 3), present (T, 2) bool
 
-This module validates samples, encodes them into dense feature matrices for
-the recognizer, and mirrors productions across the sagittal plane to convert
-between left- and right-handed signing; each works on whole arrays.
+This module validates samples, encodes them into dense feature matrices
+(read-only float64 arrays) for the recognizer, and mirrors productions
+across the sagittal plane to convert between left- and right-handed
+signing; each works on whole arrays.
 
 Feature layout (one row per frame, fixed concatenation order):
 
@@ -265,72 +266,52 @@ def validate_dataset(ds: GestureDataset) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """Dense T x D encoding of one sample; ``mask_len`` is the pre-padding length."""
-
-    values: np.ndarray  # (T, D)
-    mask_len: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature matrix contains non-finite values")
-        if not 0 <= self.mask_len <= arr.shape[0]:
-            raise ValueError(f"mask_len {self.mask_len} out of range for T={arr.shape[0]}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return self.mask_len == other.mask_len and np.array_equal(self.values, other.values)
-
-
 def _wrist_center(sample: GestureSample) -> np.ndarray:
     """Midpoint of the present wrists in the first frame; the origin if none."""
     wrists = sample.locations[0, sample.present[0], WRIST_JOINT]
     return wrists.mean(axis=0) if len(wrists) else np.zeros(3)
 
 
-def encode_features(sample: GestureSample) -> FeatureMatrix:
-    """Encode a validated sample into its T x FEATURE_DIM feature matrix, in
-    the module docstring's layout (deterministic); an absent hand's columns
-    are zero."""
+def encode_features(sample: GestureSample) -> np.ndarray:
+    """Encode a validated sample into its read-only float64 (T, FEATURE_DIM)
+    feature matrix, in the module docstring's layout (deterministic); an
+    absent hand's columns are zero.
+
+    Finite locations far from the wrists can overflow when centered and
+    scaled; such a sample raises ``InvalidSample`` (rule ``non-finite``).
+    """
     require_valid(sample)
     t = sample.timestamps.size
-    loc = (sample.locations - _wrist_center(sample)) / LOCATION_SCALE_M
-    rot = sample.rotations / ROTATION_SCALE_DEG
-    hands = np.concatenate([
-        np.concatenate([loc, rot], axis=3).reshape(t, 2, -1),  # per joint: loc xyz then rot pyr
-        sample.hand_rotation / ROTATION_SCALE_DEG,
-    ], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loc = (sample.locations - _wrist_center(sample)) / LOCATION_SCALE_M
+        rot = sample.rotations / ROTATION_SCALE_DEG
+        hands = np.concatenate([
+            np.concatenate([loc, rot], axis=3).reshape(t, 2, -1),  # per joint: loc xyz then rot pyr
+            sample.hand_rotation / ROTATION_SCALE_DEG,
+        ], axis=2)
     values = np.where(sample.present[:, :, None], hands, 0.0).reshape(t, FEATURE_DIM)
-    return FeatureMatrix(values=values, mask_len=t)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise InvalidSample(f"non-finite: encoded features overflow at frame "
+                            f"{int(np.argmin(finite))}")
+    values.flags.writeable = False
+    return values
 
 
-def pad_or_truncate(m: FeatureMatrix, t_max: int) -> FeatureMatrix:
-    """Return a matrix with exactly ``t_max`` rows: zero-padded or truncated."""
+def pad_or_truncate(values: np.ndarray, t_max: int) -> np.ndarray:
+    """``values`` with exactly ``t_max`` rows: zero-padded or truncated.
+
+    The network reads unpadded samples, so no program path calls this; the
+    benchmark harness still traces it by name.
+    """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    t = m.rows
-    if t == t_max:
-        return m
-    if t > t_max:
-        return FeatureMatrix(values=m.values[:t_max], mask_len=t_max)
-    out = np.zeros((t_max, m.cols))
-    out[:t] = m.values
-    return FeatureMatrix(values=out, mask_len=m.mask_len)
+    t = len(values)
+    if t >= t_max:
+        return values[:t_max]
+    out = np.zeros((t_max,) + values.shape[1:], dtype=values.dtype)
+    out[:t] = values
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -178,27 +178,16 @@ class NetConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def to_obj(self) -> dict:
-        return {
-            "t_max": self.t_max, "feature_dim": self.feature_dim,
-            "conv1_filters": self.conv1_filters, "conv2_filters": self.conv2_filters,
-            "kernel_size": self.kernel_size, "pool": self.pool,
-            "lstm1_units": self.lstm1_units, "lstm2_units": self.lstm2_units,
-            "dense_units": list(self.dense_units), "dropout_rate": self.dropout_rate,
-            "n_classes": self.n_classes, "classes": list(self.classes),
-            "scale_factor": str(self.scale_factor), "dtype": self.dtype,
-        }
+        """Every field in declaration order, as JSON values: tuples become
+        lists and the scale factor its string."""
+        def plain(v):
+            return list(v) if isinstance(v, tuple) else str(v) if isinstance(v, Fraction) else v
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_obj(obj: dict) -> "NetConfig":
-        return NetConfig(
-            t_max=obj["t_max"], feature_dim=obj["feature_dim"],
-            conv1_filters=obj["conv1_filters"], conv2_filters=obj["conv2_filters"],
-            kernel_size=obj["kernel_size"], pool=obj["pool"],
-            lstm1_units=obj["lstm1_units"], lstm2_units=obj["lstm2_units"],
-            dense_units=tuple(obj["dense_units"]), dropout_rate=obj["dropout_rate"],
-            n_classes=obj["n_classes"], classes=tuple(obj["classes"]),
-            scale_factor=Fraction(obj["scale_factor"]), dtype=obj["dtype"],
-        )
+        """The inverse of ``to_obj``: ``__post_init__`` restores the types."""
+        return NetConfig(**{f.name: obj[f.name] for f in fields(NetConfig)})
 
 
 @dataclass
@@ -474,7 +463,6 @@ class EncodedDataset:
 
     features: list[np.ndarray]
     y: np.ndarray
-    signer_ids: list[str]
 
     def __len__(self):
         return len(self.features)
@@ -504,15 +492,13 @@ def encode_gesture_dataset(ds: GestureDataset, cfg: NetConfig) -> EncodedDataset
         raise EmptyDataset("no samples to encode")
     label_index = {name: i for i, name in enumerate(cfg.classes)}
     _check_feature_dim(cfg)
-    feats, ys, signers = [], [], []
+    feats, ys = [], []
     for s in ds.samples:
         if s.label.name not in label_index:
             raise ClassMismatch(f"sample label {s.label.name} not in network classes")
-        m = encode_features(s)
-        feats.append(m.values.astype(cfg.np_dtype))
+        feats.append(encode_features(s).astype(cfg.np_dtype))
         ys.append(label_index[s.label.name])
-        signers.append(s.signer_id)
-    return EncodedDataset(features=feats, y=np.array(ys, dtype=np.int64), signer_ids=signers)
+    return EncodedDataset(features=feats, y=np.array(ys, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -547,18 +533,11 @@ class TrainingReport:
     param_checksum: str = ""
 
     def to_obj(self, include_timings: bool = True) -> dict:
-        obj = {
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-            "epoch_seconds": self.epoch_seconds if include_timings
-            else [0.0] * len(self.epoch_seconds),
-            "nonmonotone_epochs": self.nonmonotone_epochs,
-            "start_epoch": self.start_epoch,
-            "epochs_run": self.epochs_run,
-            "param_checksum": self.param_checksum,
-        }
+        """Every field in declaration order; without timings the epoch
+        seconds read 0.0."""
+        obj = asdict(self)
+        if not include_timings:
+            obj["epoch_seconds"] = [0.0] * len(self.epoch_seconds)
         return obj
 
 
@@ -590,6 +569,8 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
     head, Adam merges classes early for good (see README).  Deterministic
     given the shuffle seed and ``net.seed``; raises DivergenceDetected
     (carrying the last finite-loss network) if the loss goes non-finite.
+    The step size is ``tc.learning_rate``, on a resumed run too: ``resume``
+    carries Adam's moments and step count, not its rate.
     """
     cfg = net.config
     if len(train_set) == 0:
@@ -603,7 +584,7 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
         w = params["out/W"]
         rng = np.random.default_rng(np.random.SeedSequence((net.seed, 1)))  # its own stream
         params["out/W"] = _glorot(rng, w.shape, *w.shape, w.dtype)
-    adam = resume.adam if resume is not None else AdamState.init(params, tc.learning_rate)
+    adam = resume.adam if resume is not None else AdamState.init(params)
     start_epoch = resume.epoch if resume is not None else 0
     report = TrainingReport(start_epoch=start_epoch)
 
@@ -634,7 +615,7 @@ def train(net: ChampNet, train_set: EncodedDataset, val_set: EncodedDataset | No
             epoch_loss += loss * len(batch_idx)
             epoch_correct += int((probs.argmax(axis=1) == targets).sum())
             grads = _backward_full(live, cache, grad_logits)
-            params, adam = adam_step(params, grads, adam)
+            params, adam = adam_step(params, grads, adam, tc.learning_rate)
 
         last_good = dict(params)
         train_loss = epoch_loss / n
@@ -687,8 +668,7 @@ def predict(net: ChampNet, sample: GestureSample) -> Prediction:
     cfg.classes is ordered)."""
     cfg = net.config
     _check_feature_dim(cfg)
-    m = encode_features(sample)
-    probs = forward(net, m.values[:cfg.t_max])[0]
+    probs = forward(net, encode_features(sample)[:cfg.t_max])[0]
     idx = int(np.argmax(probs))
     return Prediction(label=sign_class(cfg.classes[idx]),
                       confidence=float(probs[idx]),

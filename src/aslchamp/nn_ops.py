@@ -27,7 +27,7 @@ implementation ``_lstm_step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -640,26 +640,26 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter, the step counter and the
-    step size; the decays and epsilon are the ADAM_* constants."""
+    """First/second moment estimates per parameter and the step counter; the
+    decays and epsilon are the ADAM_* constants and the step size is
+    ``adam_step``'s ``lr``."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    alpha: float = 1e-3
 
     @staticmethod
-    def init(params: dict[str, np.ndarray], alpha: float = 1e-3) -> "AdamState":
+    def init(params: dict[str, np.ndarray]) -> "AdamState":
         return AdamState(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0, alpha=alpha,
         )
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState):
-    """One Adam update; returns (new_params, new_state), inputs untouched."""
+              state: AdamState, lr: float):
+    """One Adam update with step size ``lr``; returns (new_params, new_state),
+    inputs untouched."""
     if set(params) != set(grads):
         raise ShapeMismatch("params and grads must share keys")
     t = state.t + 1
@@ -677,10 +677,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v = b2 * state.v[key] + (1.0 - b2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        new_params[key] = p - state.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         new_m[key] = m
         new_v[key] = v
-    return new_params, replace(state, m=new_m, v=new_v, t=t)
+    return new_params, AdamState(m=new_m, v=new_v, t=t)
 
 
 # ---------------------------------------------------------------------------

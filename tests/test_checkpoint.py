@@ -124,7 +124,7 @@ def _rewrite_header(path, edit):
 
 @pytest.mark.parametrize("edit", [
     lambda h: h["config"].update(lstm1_units=h["config"]["lstm1_units"] * 2),
-    lambda h: h.update(train_state={"epoch": 1, "t": 1, "alpha": 1e-3}),
+    lambda h: h.update(train_state={"epoch": 1, "t": 1}),
     lambda h: h["config"].update(classes=["FOO", *h["config"]["classes"][1:]]),
     lambda h: h["config"].update(classes=["COFFEE", *h["config"]["classes"][:-1]]),
     lambda h: h["config"].update(scale_factor="1/0"),
@@ -152,7 +152,7 @@ def test_header_is_config_seed_and_train_state_only(tmp_path):
     version, header, payload = frame_parts(path.read_bytes(), MAGIC)
     assert version == 3
     assert sorted(header) == ["config", "seed", "train_state"]
-    assert header["train_state"] == {"epoch": 2, "t": 0, "alpha": 1e-3}
+    assert header["train_state"] == {"epoch": 2, "t": 0}
     assert len(payload) == 3 * 8 * sum(p.size for p in net.params.values())
 
 
@@ -187,8 +187,7 @@ def test_train_state_round_trip_enables_exact_resume(tmp_path):
                     n_classes=2, classes=("COFFEE", "TEA"), dropout_rate=0.0)
     feats = [rng.standard_normal((40, 12)) * 0.2 + (0.5 if i % 2 == 0 else -0.5)
              for i in range(20)]
-    data = EncodedDataset(features=feats, y=np.array([i % 2 for i in range(20)]),
-                          signer_ids=["x"] * 20)
+    data = EncodedDataset(features=feats, y=np.array([i % 2 for i in range(20)]))
     net = build_network(cfg, seed=2)
     tc = TrainConfig(epochs=3, batch_size=10, shuffle_seed=7)
     straight_net, _, _ = train(net, data, None,
@@ -205,6 +204,28 @@ def test_train_state_round_trip_enables_exact_resume(tmp_path):
     assert report.start_epoch == 3
     for key in straight_net.params:
         np.testing.assert_array_equal(straight_net.params[key], resumed_net.params[key])
+
+
+def test_train_state_alpha_of_older_files_is_ignored(tmp_path):
+    """Version 3 files written before the step size left the train state
+    record it as "alpha"; they load and resume at the TrainConfig's rate."""
+    cfg = NetConfig(t_max=16, feature_dim=4, scale_factor=Fraction(1, 64), n_classes=2,
+                    classes=("COFFEE", "TEA"), dropout_rate=0.0)
+    rng = np.random.default_rng(1)
+    data = EncodedDataset(features=[rng.standard_normal((16, 4)) for _ in range(8)],
+                          y=np.arange(8) % 2)
+    tc = TrainConfig(epochs=1, batch_size=4, learning_rate=2e-3, shuffle_seed=3)
+    net, _, state = train(build_network(cfg, seed=1), data, None, tc)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path, train_state=state)
+    before_net, before_state = load_checkpoint_full(path)
+    want, _, _ = train(before_net, data, None, tc, resume=before_state)
+    _rewrite_header(path, lambda h: h["train_state"].update(alpha=0.5))
+    loaded_net, loaded_state = load_checkpoint_full(path)
+    assert (loaded_state.epoch, loaded_state.adam.t) == (state.epoch, state.adam.t)
+    got, _, _ = train(loaded_net, data, None, tc, resume=loaded_state)
+    for key in want.params:
+        np.testing.assert_array_equal(got.params[key], want.params[key])
 
 
 def test_checkpoint_without_train_state_loads_none(tmp_path):

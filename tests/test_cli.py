@@ -141,6 +141,27 @@ def test_train_resume_continues_epoch_counter(workspace, tmp_path):
     assert "from epoch 3" in r.stdout
 
 
+def test_train_resume_applies_lr(workspace, tmp_path):
+    # The train state carries Adam's moments and step count, not its rate.
+    written = []
+    for lr in ("0.5", "0.001"):
+        ckpt = tmp_path / f"lr-{lr}.ckpt"
+        shutil.copy(workspace["ckpt"], ckpt)
+        r = run_cli("--seed", "5", "train", "--data", workspace["data"], "--ckpt", ckpt,
+                    "--resume", "--epochs", "1", "--lr", lr, threads=1)
+        assert r.returncode == 0, r.stderr
+        written.append(ckpt.read_bytes())
+    assert written[0] != written[1]
+
+
+def test_train_resume_help_names_the_flags_it_ignores():
+    r = run_cli("train", "--help")
+    assert r.returncode == 0
+    text = " ".join(r.stdout.split())
+    assert "--scale, --t-max, --dtype and --dropout are ignored" in text
+    assert "--lr, --batch-size, --epochs and --patience apply" in text
+
+
 def test_eval_prints_confusion_grid(workspace, tmp_path):
     csv_path = tmp_path / "conf.csv"
     r = run_cli("eval", "--ckpt", workspace["ckpt"], "--data", workspace["data"],
@@ -249,6 +270,29 @@ def test_train_and_eval_on_a_bad_dataset_are_data_errors(workspace, tmp_path, co
         r = run_cli("eval", "--ckpt", workspace["ckpt"], "--data", bad)
     assert r.returncode == 4, r.stderr
     assert error in r.stderr
+    assert not (tmp_path / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["recognize", "eval", "train"])
+def test_overflowing_sample_is_a_data_error(workspace, tmp_path, command):
+    # A location of 1e308 m passes validation but overflows when encoded.
+    bad = tmp_path / "overflow.ds"
+    shutil.copy(workspace["data"], bad)
+
+    def huge_location(header, samples):
+        for sample in samples:
+            sample["locations"][:, :, 7] = 1e308  # joint 7 of both hands, every frame
+
+    rewrite_dataset(bad, huge_location)
+    if command == "recognize":
+        r = run_cli("recognize", "--ckpt", workspace["ckpt"], "--sample", bad)
+    elif command == "eval":
+        r = run_cli("eval", "--ckpt", workspace["ckpt"], "--data", bad)
+    else:
+        r = run_cli(*TRAIN_MINI, "--data", bad, "--ckpt", tmp_path / "out.ckpt")
+    assert r.returncode == 4, r.stderr
+    assert "invalid sample" in r.stderr and "non-finite" in r.stderr
+    assert "Warning" not in r.stderr
     assert not (tmp_path / "out.ckpt").exists()
 
 

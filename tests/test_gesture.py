@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from aslchamp import gesture
 from aslchamp.synth import default_templates
 from aslchamp.gesture import (
-    FeatureMatrix,
     GestureSample,
     InvalidSample,
     LOCATION_SCALE_M,
@@ -123,15 +123,22 @@ def test_validation_never_raises_on_garbage_shapes():
 def test_encode_shape_217_by_306():
     sample = make_sample(n_frames=217, rate=72.0)
     m = encode_features(sample)
-    assert (m.rows, m.cols) == (217, 306)
-    assert m.mask_len == 217
+    assert m.shape == (217, 306)
+    assert m.dtype == np.float64
+
+
+def test_encode_returns_a_read_only_array(rng):
+    m = encode_features(random_sample(rng))
+    assert type(m) is np.ndarray and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_encode_zero_sample_gives_zero_row():
     sample = make_sample(n_frames=1, value=0.0)
     m = encode_features(sample)
-    assert m.values.shape == (1, 306)
-    assert np.all(m.values == 0.0)
+    assert m.shape == (1, 306)
+    assert np.all(m == 0.0)
 
 
 def test_encode_rotation_scaling_is_exact():
@@ -141,7 +148,7 @@ def test_encode_rotation_scaling_is_exact():
     sample = dataclasses.replace(sample, hand_rotation=hrot)
     m = encode_features(sample)
     # right hand block starts at 153; hand_rotation is its last 3 columns
-    assert m.values[0, 153 + 150] == 0.5
+    assert m[0, 153 + 150] == 0.5
 
 
 def test_encode_invalid_sample_raises():
@@ -154,14 +161,14 @@ def test_encode_deterministic(rng):
     sample = random_sample(rng)
     a = encode_features(sample)
     b = encode_features(sample)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_encode_centers_first_frame_wrist_midpoint(rng):
     sample = random_sample(rng)
     m = encode_features(sample)
-    left_wrist = m.values[0, 0:3]
-    right_wrist = m.values[0, 153:156]
+    left_wrist = m[0, 0:3]
+    right_wrist = m[0, 153:156]
     # midpoint of the two encoded wrists in frame 0 is exactly the origin
     np.testing.assert_allclose(left_wrist + right_wrist, 0.0, atol=1e-15)
 
@@ -172,10 +179,10 @@ def test_encoded_rotations_lie_in_unit_interval(n_frames, seed):
     sample = random_sample(np.random.default_rng(seed), n_frames=n_frames)
     m = encode_features(sample)
     for hand_start in (0, 153):
-        block = m.values[:, hand_start:hand_start + 150].reshape(m.rows, NUM_JOINTS, 6)
+        block = m[:, hand_start:hand_start + 150].reshape(len(m), NUM_JOINTS, 6)
         rot = block[:, :, 3:]
         assert np.all(rot >= -1.0) and np.all(rot <= 1.0)
-        hand_rot = m.values[:, hand_start + 150:hand_start + 153]
+        hand_rot = m[:, hand_start + 150:hand_start + 153]
         assert np.all(np.abs(hand_rot) <= 1.0)
 
 
@@ -211,8 +218,8 @@ def drawn_sample(n_frames: int, seed: int, one_handed: bool, mirrored: bool) -> 
 def test_encode_matches_per_frame_reference(n_frames, seed, one_handed, mirrored):
     sample = drawn_sample(n_frames, seed, one_handed, mirrored)
     m = encode_features(sample)
-    assert m.cols == 306
-    assert np.array_equal(m.values, reference_encode(sample))
+    assert m.shape[1] == 306
+    assert np.array_equal(m, reference_encode(sample))
 
 
 # ---------------------------------------------------------------------------
@@ -220,40 +227,50 @@ def test_encode_matches_per_frame_reference(n_frames, seed, one_handed, mirrored
 # ---------------------------------------------------------------------------
 
 
-def test_pad_to_651_zero_fills_and_keeps_mask(rng):
+def test_pad_to_651_zero_fills(rng):
     sample = random_sample(rng, n_frames=8)
     m = encode_features(sample)
     padded = pad_or_truncate(m, 651)
-    assert padded.values.shape == (651, 306)
-    assert padded.mask_len == 8
-    np.testing.assert_array_equal(padded.values[:8], m.values)
-    assert np.all(padded.values[8:] == 0.0)
+    assert padded.shape == (651, 306)
+    np.testing.assert_array_equal(padded[:8], m)
+    assert np.all(padded[8:] == 0.0)
 
 
 def test_pad_identity_when_already_t_max():
-    m = FeatureMatrix(values=np.ones((10, 4)), mask_len=10)
-    out = pad_or_truncate(m, 10)
-    assert out == m
+    values = np.ones((10, 4))
+    out = pad_or_truncate(values, 10)
+    np.testing.assert_array_equal(out, values)
 
 
 def test_truncate_keeps_first_rows():
     values = np.arange(700 * 3, dtype=float).reshape(700, 3)
-    m = FeatureMatrix(values=values, mask_len=700)
-    out = pad_or_truncate(m, 651)
-    assert out.values.shape == (651, 3)
-    assert out.mask_len == 651
-    np.testing.assert_array_equal(out.values, values[:651])
+    out = pad_or_truncate(values, 651)
+    assert out.shape == (651, 3)
+    np.testing.assert_array_equal(out, values[:651])
 
 
 def test_pad_requires_positive_t_max():
-    m = FeatureMatrix(values=np.zeros((3, 2)), mask_len=3)
     with pytest.raises(ValueError):
-        pad_or_truncate(m, 0)
+        pad_or_truncate(np.zeros((3, 2)), 0)
 
 
-def test_feature_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FeatureMatrix(values=np.array([[np.inf, 0.0]]), mask_len=1)
+def test_encode_rejects_overflowing_locations(rng):
+    # 1e308 m is finite, so validation passes it, but centred and divided by
+    # 0.15 m it overflows.  In the absent left hand it is never encoded; in
+    # the present right hand encoding refuses the sample.  Neither warns.
+    sample = random_sample(rng, n_frames=4, one_handed=True)
+    for hand, refused in ((0, False), (1, True)):
+        loc = sample.locations.copy()
+        loc[2, hand, 7] = 1e308
+        bad = dataclasses.replace(sample, locations=loc)
+        assert validate_sample(bad).ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(InvalidSample, match="non-finite"):
+                    encode_features(bad)
+            else:
+                assert np.array_equal(encode_features(bad), encode_features(sample))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def toy_dataset(n=60, t=40, d=12, n_classes=2, seed=3, sep=0.5, noise=0.05):
         base = sep if cls == 0 else -sep
         feats.append(base + noise * rng.standard_normal((t, d)))
         ys.append(cls)
-    return EncodedDataset(features=feats, y=np.array(ys), signer_ids=["x"] * n)
+    return EncodedDataset(features=feats, y=np.array(ys))
 
 
 TOY_CFG = NetConfig(t_max=40, feature_dim=12, scale_factor=Fraction(1, 32),
@@ -228,8 +228,7 @@ def test_end_to_end_parameter_gradients_match_finite_differences(rng):
 def ragged_dataset(lengths, feature_dim, seed=0):
     rng = np.random.default_rng(seed)
     feats = [0.5 * rng.standard_normal((n, feature_dim)) for n in lengths]
-    return EncodedDataset(features=feats, y=np.arange(len(lengths)) % 3,
-                          signer_ids=["x"] * len(lengths))
+    return EncodedDataset(features=feats, y=np.arange(len(lengths)) % 3)
 
 
 def length_cfg(dtype="float64", kernel_size=3, pool=2):
@@ -314,7 +313,7 @@ def test_predict_equals_forward_on_the_zero_padded_sample(rng):
     for n_frames in (15, 55):  # the second is truncated to t_max
         sample = random_sample(rng, n_frames=n_frames)
         m = gesture.encode_features(sample)
-        want = forward(net, gesture.pad_or_truncate(m, cfg.t_max).values)[0]
+        want = forward(net, gesture.pad_or_truncate(m, cfg.t_max))[0]
         got = predict(net, sample).distribution
         assert len(set(got.tolist())) > 1
         np.testing.assert_array_equal(got, want)
@@ -427,7 +426,7 @@ def test_epochs_zero_rejected():
 
 def test_empty_dataset_rejected():
     net = build_network(TOY_CFG, seed=1)
-    empty = EncodedDataset(features=[], y=np.zeros(0, dtype=int), signer_ids=[])
+    empty = EncodedDataset(features=[], y=np.zeros(0, dtype=int))
     with pytest.raises(EmptyDataset):
         train(net, empty, None, TrainConfig(epochs=1))
 

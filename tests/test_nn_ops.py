@@ -694,29 +694,29 @@ def test_softmax_xent_batch_reduces_mean(rng):
 def test_adam_first_step_is_signed_learning_rate():
     params = {"w": np.array([1.0])}
     state = AdamState.init(params)
-    new, _ = adam_step(params, {"w": np.array([2.0])}, state)
+    new, _ = adam_step(params, {"w": np.array([2.0])}, state, 1e-3)
     delta = new["w"][0] - 1.0
-    assert abs(delta + 1e-3) < 1e-8  # -alpha * g/(|g| + eps-ish)
+    assert abs(delta + 1e-3) < 1e-8  # -lr * g/(|g| + eps-ish)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = {"w": np.array([0.7, -0.3])}
     state = AdamState.init(params)
-    new, new_state = adam_step(params, {"w": np.zeros(2)}, state)
+    new, new_state = adam_step(params, {"w": np.zeros(2)}, state, 1e-3)
     np.testing.assert_array_equal(new["w"], params["w"])
     assert new_state.t == 1
 
 
 def test_adam_descends_quadratic():
-    # Oracle recurrences, frozen: with default alpha=1e-3 Adam's step is
-    # capped near alpha, so 100 steps move theta from 1.0 to about 0.9017;
-    # with alpha=1e-2 it passes 0.5.
-    def run(alpha, steps):
+    # Oracle recurrences, frozen: with lr=1e-3 Adam's step is capped near
+    # lr, so 100 steps move theta from 1.0 to about 0.9017; with lr=1e-2 it
+    # passes 0.5.
+    def run(lr, steps):
         theta = {"w": np.array([1.0])}
-        state = AdamState.init(theta, alpha=alpha)
+        state = AdamState.init(theta)
         trace = [theta["w"][0]]
         for _ in range(steps):
-            theta, state = adam_step(theta, {"w": 2.0 * theta["w"]}, state)
+            theta, state = adam_step(theta, {"w": 2.0 * theta["w"]}, state, lr)
             trace.append(theta["w"][0])
         return trace
 
@@ -733,7 +733,7 @@ def test_adam_is_pure(rng):
     params = {"w": rng.standard_normal(4)}
     before = params["w"].copy()
     state = AdamState.init(params)
-    adam_step(params, {"w": rng.standard_normal(4)}, state)
+    adam_step(params, {"w": rng.standard_normal(4)}, state, 1e-3)
     np.testing.assert_array_equal(params["w"], before)
     assert not state.m["w"].any()
 
@@ -742,7 +742,7 @@ def test_adam_shape_mismatch():
     params = {"w": np.zeros(3)}
     state = AdamState.init(params)
     with pytest.raises(ShapeMismatch):
-        adam_step(params, {"w": np.zeros(4)}, state)
+        adam_step(params, {"w": np.zeros(4)}, state, 1e-3)
 
 
 # ---------------------------------------------------------------------------

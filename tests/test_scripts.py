@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, and the names the benchmark
 harness under perfbench/ looks up in the package."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -17,8 +18,11 @@ def test_end_to_end_script_writes_its_artifacts(tmp_path):
                        capture_output=True, text=True, timeout=600,
                        env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0, r.stderr
-    for name in ("dataset.ds", "model.ckpt", "transcript.jsonl"):
-        assert (tmp_path / name).is_file(), name
+    reported = [line.split() for line in r.stdout.splitlines() if line.startswith("sha256 ")]
+    names = ("dataset.ds", "model.ckpt", "transcript.jsonl")
+    assert [name for _, name, _ in reported] == list(names)
+    for _, name, digest in reported:
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(), name
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):

@@ -236,7 +236,7 @@ def test_nearest_centroid_baseline_exceeds_60_percent():
     test = [s for s in ds.samples if s.signer_id in ("s04", "s05")]
 
     def avg(s):
-        return encode_features(s).values.mean(axis=0)
+        return encode_features(s).mean(axis=0)
 
     x_train = np.stack([avg(s) for s in train])
     y_train = np.array([s.label.code for s in train])
