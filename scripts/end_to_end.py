@@ -12,6 +12,7 @@ OPENBLAS_NUM_THREADS=1, which makes runs byte-identical).
 
 import argparse
 import hashlib
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ def main():
 
     workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="aslchamp-"))
     workdir.mkdir(parents=True, exist_ok=True)
-    print(f"artifacts -> {workdir}")
+    print(f"artifacts -> {workdir}", file=sys.stderr)  # keeps stdout equal across workdirs
 
     spec = synth.DatasetSpec(classes=("COFFEE", "TEA", "MILK"), signers=6,
                              repetitions_per_class=4, duration_s=1.5,
