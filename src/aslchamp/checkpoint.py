@@ -3,7 +3,7 @@
 The file is one ``framing`` frame (all integers little-endian):
 
     bytes  0..12   magic "ASLCHAMP-CKPT"
-    u32            format version (3)
+    u32            format version (4)
     u32            header length in bytes
     header         UTF-8 JSON: {"config": ..., "seed": ..., "train_state":
                    null or {"epoch", "t"}}
@@ -16,9 +16,12 @@ The file is one ``framing`` frame (all integers little-endian):
 The config fixes every array's shape and dtype, so the header lists none.
 An LSTM layer is the four fused arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``,
 ``b_x (4H,)`` and ``b_h (4H,)``.  Files of earlier versions are refused
-with ``VersionMismatch``; there is no converter.  The train state holds no
-learning rate: a resumed run takes it from its ``TrainConfig``.  Version 3
-files that still record one as ``"alpha"`` load, and the value is ignored.
+with ``VersionMismatch``; there is no converter, so retrain.  Version 4
+came with the packed LSTMs: a version 3 file holds parameters of the same
+shapes, but its network stepped every sample over all pooled rows, so the
+same bytes would now predict differently.  The train state holds no
+learning rate: a resumed run takes it from its ``TrainConfig``, and a key
+it does not read (``"alpha"``, say) is ignored.
 
 Loading verifies magic, version and checksum before it reads the header,
 then that the config is valid, that its classes are distinct
@@ -39,7 +42,7 @@ from .net import ChampNet, NetConfig, TrainState, _param_shapes
 from .nn_ops import AdamState
 
 MAGIC = b"ASLCHAMP-CKPT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(Exception):

@@ -18,8 +18,19 @@ batch is a sequence of per-sample (T_i, D) feature matrices, T_i <= t_max,
 each standing for itself zero-padded to t_max.  ``EncodedDataset.batch``
 returns views of the samples' own matrices, with no copy and no padding,
 and ``predict`` passes a sample unpadded; a (B, T, D) array is such a
-sequence too.  The first conv multiplies only each sample's own rows and the
+sequence too.  A sample's frames end at its last non-zero row: trailing
+all-zero rows (padding, or frames with both hands absent) count as
+padding.  The first conv multiplies only each sample's own rows and the
 conv stages skip the constant suffix, which changes no output bit.
+
+Both LSTMs step each sample only over the pooled rows its frames reach,
+ceil(n / pool) per conv + pool stage (``_stage_reach``), packed from lstm1
+into lstm2; its LSTM outputs after those rows are zero, and ``flatten``
+still reads all ``pooled_len(2)`` rows, so the parameter shapes are those
+of the published model.  So a sample's probabilities depend neither on
+its padding nor on the other samples of its batch.  Repeating the last
+output over the padding instead (Keras-style masking) lost signer-held-out
+accuracy; see README.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ from .nn_ops import (
     lstm_sequence_backward,
     maxpool1d_backward,
     maxpool1d_forward,
+    pack_index,
     softmax,
     softmax_xent_batch,
     tanh_backward,
@@ -305,6 +317,15 @@ def _coerce_batch(net: ChampNet, batch) -> np.ndarray:
     return x.astype(cfg.np_dtype, copy=False)
 
 
+def _stage_reach(n: int, length: int, k: int, pool: int) -> int:
+    """The pooled rows of a conv + tanh + pool stage over ``length`` rows
+    that its first ``n`` input rows reach: ceil(n / pool), capped at the
+    pooled length.  Conv row j reads input rows j to j + k - 1, so it
+    depends on the first n rows for j < n, and pooled row p on conv rows
+    p * pool to p * pool + pool - 1."""
+    return min(-(-n // pool), (length - k + 1) // pool)
+
+
 def _stage_input_len(n: int, length: int, k: int, pool: int) -> int:
     """The input rows a conv + tanh + pool stage over ``length`` rows reads
     when only its first ``n`` rows vary and every later row is one constant
@@ -313,12 +334,30 @@ def _stage_input_len(n: int, length: int, k: int, pool: int) -> int:
     A conv window wholly inside the constant rows outputs one constant row,
     and so do the tanh and the pool after it; the pool's argmax there is the
     window's first index.  So the stage computes the pooled rows that can
-    differ plus one constant row, each equal to the full-length stage's row
-    bit for bit, and every pooled row past them equals its last row.
+    differ (``_stage_reach``) plus one constant row, each equal to the
+    full-length stage's row bit for bit, and every pooled row past them
+    equals its last row.
     """
     t_pool = (length - k + 1) // pool
-    stored = min(-(-n // pool) + 1, t_pool)
+    stored = min(_stage_reach(n, length, k, pool) + 1, t_pool)
     return length if stored == t_pool else stored * pool + k - 1
+
+
+def _frames(x: np.ndarray) -> int:
+    """The rows of a (T, D) sample up to its last non-zero one: trailing
+    all-zero rows are padding."""
+    if len(x) and x[-1].any():
+        return len(x)
+    live = np.flatnonzero(x.any(axis=1))
+    return int(live[-1]) + 1 if len(live) else 0
+
+
+def _lstm_lengths(cfg: NetConfig, frames: Sequence[int]) -> np.ndarray:
+    """The pooled rows each sample's frames reach, which its LSTM steps run
+    over."""
+    k, pool = cfg.kernel_size, cfg.pool
+    return np.array([_stage_reach(_stage_reach(n, cfg.t_max, k, pool), cfg.pooled_len(1), k, pool)
+                     for n in frames], dtype=np.intp)
 
 
 def _repeat_last(x: np.ndarray, length: int) -> np.ndarray:
@@ -347,29 +386,37 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     """Returns (logits, probs, cache).  The softmax is computed in float64.
 
     ``xs`` is a sequence of B (T_i, D) feature matrices with T_i <= t_max,
-    or a (B, T, D) array; rows T_i to t_max count as zero.  Stage 1
-    multiplies each sample's own rows only (``conv1d_ragged_forward``), both
-    conv stages skip the constant suffix (``_stage_input_len``) and the
-    LSTMs run over every pooled row, so the result equals that of the
-    zero-padded (B, t_max, D) batch bit for bit.
+    or a (B, T, D) array; rows T_i to t_max count as zero, and so do a
+    sample's trailing all-zero rows (``_frames``).  Stage 1 multiplies each
+    sample's own rows only (``conv1d_ragged_forward``), both conv stages
+    skip the constant suffix (``_stage_input_len``), and both LSTMs step
+    each sample only over the pooled rows its frames reach, packed
+    (``nn_ops.pack_index``); its LSTM outputs after them are zero.  So the
+    result equals that of the zero-padded (B, t_max, D) batch bit for bit.
     """
     cfg = net.config
     p = net.params
     cache: dict[str, object] = {}
     k, pool = cfg.kernel_size, cfg.pool
 
-    need1 = _stage_input_len(max(len(x) for x in xs), cfg.t_max, k, pool)
+    frames = [_frames(x) for x in xs]
+    xs = [x[:n] for x, n in zip(xs, frames)]
+    need1 = _stage_input_len(max(frames), cfg.t_max, k, pool)
     t1 = np.tanh(conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1))
     pool1, arg1 = maxpool1d_forward(t1, pool, pool)
     x2 = _repeat_last(pool1, _stage_input_len(pool1.shape[1], cfg.pooled_len(1), k, pool))
     t2 = np.tanh(conv1d_forward(x2, p["conv2/K"], p["conv2/b"]))
     pool2, arg2 = maxpool1d_forward(t2, pool, pool)
-    h1, lstm1_cache = lstm_sequence(_repeat_last(pool2, cfg.pooled_len(2)), _lstm(p, "lstm1"))
-    h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"))
-    flat = h2.reshape(h2.shape[0], -1)
+    lengths = _lstm_lengths(cfg, frames)
+    packed = pack_index(lengths)
+    h1, lstm1_cache = lstm_sequence(pool2[packed], _lstm(p, "lstm1"), lengths)
+    h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"), lengths)
+    seq = np.zeros((len(xs), cfg.pooled_len(2), h2.shape[1]), dtype=h2.dtype)
+    seq[packed] = h2
+    flat = seq.reshape(len(xs), -1)
 
-    cache.update(xs=xs, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2,
-                 lstm1=lstm1_cache, lstm2=lstm2_cache, h2_shape=h2.shape)
+    cache.update(xs=xs, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2, packed=packed,
+                 lstm1=lstm1_cache, lstm2=lstm2_cache, seq_shape=seq.shape)
 
     act = flat
     for i in range(1, 4):
@@ -387,7 +434,8 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
 def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     """Parameter gradients of the batch ``_forward_full`` cached.
 
-    Rows a conv stage skipped are copies of its last stored rows, so their
+    The LSTM gradients run packed, over each sample's own pooled rows.
+    Rows stage 1 skipped are copies of its last stored rows, so their
     gradients reach the stage summed into those rows (``_fold_tail``), and
     conv1's kernel gradient sums each sample's own rows only
     (``conv1d_ragged_backward``): the same sums as the full-length pass,
@@ -403,13 +451,15 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
         g = dropout_backward(g, cache[f"drop{i}"], cfg.dense_dropout)
         g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense_backward(cache[f"dense{i}"], g)
 
-    g = g.reshape(cache["h2_shape"])
+    packed = cache["packed"]
+    g = g.reshape(cache["seq_shape"])[packed]
     for layer in ("lstm2", "lstm1"):
         g, lstm_grads, _, _ = lstm_sequence_backward(cache[layer], _lstm(p, layer), g)
         grads.update((f"{layer}/{name}", val) for name, val in lstm_grads.items())
 
-    g = _fold_tail(g, cache["arg2"].shape[1])
-    g = maxpool1d_backward(g, cache["arg2"], cache["t2"].shape[1], stride=cfg.pool)
+    g_pool2 = np.zeros(cache["arg2"].shape, dtype=g.dtype)
+    g_pool2[packed] = g
+    g = maxpool1d_backward(g_pool2, cache["arg2"], cache["t2"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t2"], g)
     g, grads["conv2/K"], grads["conv2/b"] = conv1d_backward(
         cache["x2"], p["conv2/K"], g)

@@ -12,16 +12,23 @@ batch, a sequence of (T_i, D) samples standing for the batch zero-padded to
 a common length (``conv1d_ragged_forward`` and its parameter gradient):
 only each sample's own rows are multiplied.
 LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
-layer, and every GEMM runs on that layout.  ``lstm_sequence`` projects the
-whole input through W_x in one (T*B, D) x (D, 4H) GEMM before the time
-loop, so each step does one gate GEMM, h W_h; its backward pass forms the
+layer, and every GEMM runs on that layout.  ``lstm_sequence`` is
+length-aware: given per-sample lengths it takes and returns the packed
+form of the batch (``pack_index``, the layout of PyTorch's
+``pack_padded_sequence``), sorted longest first, and step t multiplies only
+the rows of the samples still running, a prefix of step t - 1's.  A batch
+without lengths runs as the packed batch of equal lengths.  The whole
+input goes through W_x in one GEMM over the packed rows before the time
+loop, so each step does one gate GEMM, h W_h; the backward pass forms the
 input and weight gradients in one GEMM each after the loop.  Inside the
-loop the gates are gate-major, (4, B, H), so each gate is one contiguous
+loop the gates are gate-major, (4, n_t, H), so each gate is one contiguous
 block and the element-wise work of all four gates runs as a few wide ops,
 one tanh among them (sigmoid(z) = 0.5 tanh(z/2) + 0.5 on i, f and o).
 Every value is formed by the same operations in the same order as with
 the gates as column blocks of a (B, 4H) row, so the results are the same
-bit for bit.  ``lstm_cell`` and ``lstm_sequence`` share the single step
+bit for bit.  In a batch of two or more samples a step with one live row
+is still a GEMM (``_matmul``), so a sample's states do not depend on its
+batch.  ``lstm_cell`` and ``lstm_sequence`` share the single step
 implementation ``_lstm_step``.
 """
 
@@ -51,6 +58,20 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     if x.ndim == 3:
         return x, False
     raise ShapeMismatch(f"expected 2-D or 3-D input, got shape {x.shape}")
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, gemm: bool):
+    """``np.matmul(a, b, out=out)``; with ``gemm`` a one-row ``a`` is
+    multiplied as GEMM too.
+
+    numpy hands a one-row product to GEMV, which sums in another order than
+    GEMM; a zero second row keeps it a GEMM, whose rows do not depend on how
+    many there are.
+    """
+    if gemm and len(a) == 1:
+        out[...] = (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
+    else:
+        np.matmul(a, b, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +218,7 @@ def conv1d_ragged_forward(xs, kernels: np.ndarray, bias: np.ndarray,
     out = np.empty((len(xs), length - k + 1, f), dtype=dtype)
     y = np.empty((length, k * f), dtype=dtype)
     for row, x in zip(out, xs):
-        if len(x) == 1 and length > 1:
-            # numpy hands a one-row product to GEMV, which sums in another
-            # order than GEMM; a zero second row keeps it a GEMM
-            x = np.concatenate([x, np.zeros_like(x)])
-        np.matmul(x, k2, out=y[:len(x)])
+        _matmul(x, k2, y[:len(x)], gemm=length > 1)
         y[len(x):] = 0
         _sum_taps(y.reshape(1, length, k, f), bias, row[None])
     return out
@@ -370,14 +387,15 @@ class LSTMCellParams:
                               b_x=np.zeros(g, dtype=dtype), b_h=np.zeros(g, dtype=dtype))
 
 
-def _step_operands(params: LSTMCellParams, dtype, lead: tuple[int, ...]):
+def _step_operands(params: LSTMCellParams, dtype, lead: tuple[int, ...], gemm: bool = False):
     """What every step of batch shape ``lead`` multiplies by and adds.
 
-    Returns (wh, hw, hw_gates, bias, scale, shift): the stored W_h in
+    Returns (wh, hw, hw_gates, bias, scale, shift, gemm): the stored W_h in
     ``dtype``, a (*lead, 4H) buffer for h_prev W_h with its gate-major view
     (4, *lead, H), and bias (b_x + b_h), scale and shift, gate-major at the
     full step shape: element-wise ops against a broadcast operand run
     several times slower than against a contiguous one of the same shape.
+    ``gemm`` is ``_matmul``'s, for h_prev W_h.
     """
     wh = params.W_h.astype(dtype, copy=False)
     hsz = params.hidden_size
@@ -393,23 +411,28 @@ def _step_operands(params: LSTMCellParams, dtype, lead: tuple[int, ...]):
     shift[2] = -0.0
     hw = np.empty((*lead, 4 * hsz), dtype=dtype)
     hw_gates = np.moveaxis(hw.reshape(*lead, 4, hsz), -2, 0)
-    return wh, hw, hw_gates, bias, scale, shift
+    return wh, hw, hw_gates, bias, scale, shift, gemm
 
 
-def _lstm_step(h_prev, c_prev, operands, act, c, tc, h):
+def _gate_major(rows: np.ndarray) -> np.ndarray:
+    """(n, 4H) fused rows viewed gate-major, (4, n, H)."""
+    return rows.reshape(len(rows), 4, -1).transpose(1, 0, 2)
+
+
+def _lstm_step(xw, h_prev, c_prev, operands, act, c, tc, h):
     """The gate math of one step, for any leading batch shape, given the
-    input already projected, x_t W_x, in ``act`` as (4, *batch, H), gate
-    k's columns in act[k]:
+    input already projected, x_t W_x, as xw (4, *batch, H), gate k's
+    columns in xw[k]:
 
         [i f g o] = x_t W_x + h_prev W_h + (b_x + b_h)   (pre-activations)
         i, f, o = sigmoid(.),  g = tanh(.)
         c = f * c_prev + i * g
         h = o * tanh(c)
 
-    ``operands`` come from ``_step_operands``.  Overwrites ``act`` with the
-    gate activations, each gate one contiguous (*batch, H) block, and
-    writes c, tanh(c) and h into the last three arguments.  h_prev W_h is
-    the GEMM of the fused layout; one strided add moves it gate-major.  All
+    ``operands`` come from ``_step_operands``.  Writes the gate activations
+    into ``act`` (4, *batch, H), each gate one contiguous (*batch, H) block,
+    and c, tanh(c) and h into the last three arguments.  h_prev W_h is the
+    GEMM of the fused layout; one strided add moves it gate-major.  All
     four gates then go through one tanh, act = scale * tanh(scale * act) +
     shift, which is ``sigmoid`` on i, f and o and tanh on g.  Each value
     comes from the same operations on the same operands, in the same order,
@@ -417,9 +440,9 @@ def _lstm_step(h_prev, c_prev, operands, act, c, tc, h):
     same.  (A per-gate GEMM on (H, H) blocks of W_h is not: BLAS sums the
     narrower product in another order for some shapes.)
     """
-    wh, hw, hw_gates, bias, scale, shift = operands
-    np.matmul(h_prev, wh, out=hw)
-    np.add(act, hw_gates, out=act)
+    wh, hw, hw_gates, bias, scale, shift, gemm = operands
+    _matmul(h_prev, wh, hw, gemm)
+    np.add(xw, hw_gates, out=act)
     act += bias
     act *= scale
     np.tanh(act, out=act)
@@ -445,85 +468,168 @@ def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
         raise ShapeMismatch("state shapes inconsistent with hidden size")
     hsz = params.hidden_size
     lead = h_prev.shape[:-1]
-    xw = (x_t @ params.W_x).reshape(*lead, 4, hsz)
-    act = np.ascontiguousarray(np.moveaxis(xw, -2, 0))
+    xw = np.moveaxis((x_t @ params.W_x).reshape(*lead, 4, hsz), -2, 0)
+    act = np.empty(xw.shape, dtype=xw.dtype)
     c, tc, h_t = (np.empty(h_prev.shape, dtype=xw.dtype) for _ in range(3))
-    _lstm_step(h_prev, c_prev, _step_operands(params, xw.dtype, lead), act, c, tc, h_t)
+    _lstm_step(xw, h_prev, c_prev, _step_operands(params, xw.dtype, lead), act, c, tc, h_t)
     i, f, g, o = act
     cache = (x_t, h_prev, c_prev, i, f, g, o, tc)
     return h_t, c, cache
 
 
-def lstm_sequence(x: np.ndarray, params: LSTMCellParams):
-    """Run the cell over a full sequence from the zero state; returns
+def pack_index(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(sample, step) of each row of the packed form of a batch whose sample
+    i is lengths[i] steps long.
+
+    The rows go step by step.  Within step t come the samples longer than
+    t, longest first and ties in batch order, so each step's samples are a
+    prefix of the step before's: PyTorch's ``pack_padded_sequence`` layout.
+    ``x[sample, step]`` packs a (B, T, D) batch with T >= max(lengths), and
+    ``out[sample, step] = packed`` unpacks into a zero-filled one.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or (lengths < 0).any():
+        raise ShapeMismatch(f"lengths must be a 1-D array of counts, got {lengths}")
+    order = np.argsort(-lengths, kind="stable")
+    live = lengths[order][None, :] > np.arange(lengths.max(initial=0))[:, None]
+    step, rank = np.nonzero(live)
+    return order[rank], step
+
+
+def _packed_steps(lengths) -> tuple[np.ndarray, int, list[tuple[int, int, int]]]:
+    """(sample, n0, steps) of the packed batch of ``lengths``: ``pack_index``'s
+    sample, the number n0 of samples of nonzero length, and per step its
+    rows start:end and where its h_prev rows start in the state rows (n0
+    zero start rows, then each packed row's output)."""
+    sample, step = pack_index(lengths)
+    ends = np.cumsum(np.bincount(step)).tolist()
+    starts = [0] + ends[:-1]
+    n0 = ends[0] if ends else 0
+    prevs = [0] + [n0 + start for start in starts[:-1]]
+    return sample, n0, list(zip(starts, ends, prevs))
+
+
+def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
+    """Run the cell over each sequence from the zero state; returns
     (h_seq, cache).
 
-    h_seq holds every hidden state: (T, H) for a single sequence, (B, T, H)
-    for a batch.  The input projection x W_x is one GEMM over all T*B rows,
-    copied once into gate-major steps (T, 4, B, H).  The cache holds the
-    input as given, (B, T, D), and the states, tanh(c) and the gate
-    activations time-major, the gates gate-major: acts[t, k] is gate
-    GATE_ORDER[k] at step t, a contiguous (B, H) block.
+    Without ``lengths``, x is one (T, D) sequence or a (B, T, D) batch of
+    sequences T steps long, and h_seq holds every hidden state, (T, H) or
+    (B, T, H).  With ``lengths``, sample i of a batch is lengths[i] steps
+    long (0 allowed), and x and h_seq are packed: (sum(lengths), D) and
+    (sum(lengths), H), row r being sample[r]'s step step[r] of
+    ``pack_index(lengths)``.  A batch without lengths runs as the packed
+    batch of equal lengths, its rows time-major.
+
+    Step t multiplies only its live rows, a prefix of the previous step's.
+    The input projection x W_x is one GEMM over all rows.  With two or more
+    samples every product stays a GEMM (``_matmul``), so a sample's states
+    do not depend on which samples share its batch.  The cache holds x as
+    given and, over the packed rows, the states (after n_0 zero start rows,
+    n_0 the samples of nonzero length), tanh(c) and the gate activations,
+    step t's a gate-major (4, n_t, H) block of its own.
     """
     params.check_shapes()
-    xb, single = _as_batch(x)
-    b, t, d = xb.shape
+    if lengths is None:
+        xb, single = _as_batch(x)
+        b, t, d = xb.shape
+        xp = xb.transpose(1, 0, 2).reshape(t * b, d)
+        lengths = np.full(b, t)
+    else:
+        single = None
+        d = x.shape[-1]
+        if x.ndim != 2 or len(x) != int(np.sum(lengths)):
+            raise ShapeMismatch(f"packed input shape {x.shape} != (sum(lengths), D)")
+        xp = x
     if d != params.input_size:
         raise ShapeMismatch(f"input dim {d} != {params.input_size}")
+    _, n0, steps = _packed_steps(lengths)
+    gemm = len(lengths) > 1
     hsz = params.hidden_size
-    dtype = xb.dtype
-    hs = np.empty((t + 1, b, hsz), dtype=dtype)  # hs[s] and cs[s] are step s's inputs
-    cs = np.empty((t + 1, b, hsz), dtype=dtype)
-    hs[0], cs[0] = 0, 0
+    dtype = xp.dtype
+    n = len(xp)
+    hs = np.empty((n0 + n, hsz), dtype=dtype)  # n0 zero start rows, then each step's output
+    cs = np.empty((n0 + n, hsz), dtype=dtype)
+    hs[:n0], cs[:n0] = 0, 0
 
-    operands = _step_operands(params, dtype, (b,))
-    xw = xb.transpose(1, 0, 2).reshape(t * b, d) @ params.W_x.astype(dtype, copy=False)
-    acts = np.ascontiguousarray(xw.reshape(t, b, 4, hsz).transpose(0, 2, 1, 3))
-    tcs = np.empty((t, b, hsz), dtype=dtype)
-    for step in range(t):
-        _lstm_step(hs[step], cs[step], operands, acts[step], cs[step + 1], tcs[step], hs[step + 1])
+    xw = np.empty((n, 4 * hsz), dtype=dtype)
+    _matmul(xp, params.W_x.astype(dtype, copy=False), xw, gemm)
+    acts = np.empty(n * 4 * hsz, dtype=dtype)
+    tcs = np.empty((n, hsz), dtype=dtype)
+    live = 0
+    for start, end, prev in steps:
+        m = end - start
+        if m != live:
+            operands = _step_operands(params, dtype, (m,), gemm)
+            live = m
+        act = acts[start * 4 * hsz:end * 4 * hsz].reshape(4, m, hsz)
+        _lstm_step(_gate_major(xw[start:end]), hs[prev:prev + m], cs[prev:prev + m], operands,
+                   act, cs[n0 + start:n0 + end], tcs[start:end], hs[n0 + start:n0 + end])
 
-    cache = (xb, hs, cs, acts, tcs, single)
-    h_seq = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
-    return (h_seq[0] if single else h_seq), cache
+    cache = (x, hs, cs, acts, tcs, lengths, single)
+    h_seq = hs[n0:]
+    if single is not None:
+        h_seq = np.ascontiguousarray(h_seq.reshape(t, b, hsz).transpose(1, 0, 2))
+        if single:
+            h_seq = h_seq[0]
+    return h_seq, cache
 
 
 def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray):
     """Backpropagation through time.
 
-    Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_params is a
+    Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_x has the
+    shape of ``lstm_sequence``'s x (packed if it was), grad_params is a
     dict keyed like LSTMCellParams fields, in the same fused layout, and
-    grad_h0, grad_c0 are the gradients at the zero start state.  The
-    loop carries only the recurrent gradient: each gate's gradient is
-    formed from the contiguous gate blocks of the cache and written into
-    its column block of the fused (B, 4H) gradient row, so the recurrent
-    GEMM and, after the loop, grad_x and the weight gradients (one GEMM
-    each over all T*B rows) run on the fused layout.
+    grad_h0, grad_c0 (B, H) are the gradients at the zero start state.
+    The loop carries only the recurrent gradient over each step's live
+    rows: each gate's gradient is formed from the contiguous gate blocks of
+    the cache and written into its column block of the fused (n_t, 4H)
+    gradient rows, so the recurrent GEMM and, after the loop, grad_x and
+    the weight gradients (one GEMM each over the packed rows) and the bias
+    sum run on the fused layout and on live rows only.
     """
-    xb, hs, cs, acts, tcs, single = cache
-    t, _, b, hsz = acts.shape
+    x, hs, cs, acts, tcs, lengths, single = cache
+    hsz = hs.shape[1]
     g4 = 4 * hsz
-    gseq, gsingle = _as_batch(grad_h_seq)
-    if gseq.shape != (b, t, hsz) or gsingle != single:
-        raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} mismatch")
-    dtype = xb.dtype
-    wx = params.W_x.astype(dtype, copy=False)
+    sample, n0, steps = _packed_steps(lengths)
+    n = len(tcs)
+    gemm = len(lengths) > 1
+    if single is None:
+        if grad_h_seq.shape != (n, hsz):
+            raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} != packed ({n}, {hsz})")
+        gp = grad_h_seq
+        xp = x
+    else:
+        gseq, gsingle = _as_batch(grad_h_seq)
+        xb, _ = _as_batch(x)
+        b, t, d = xb.shape
+        if gseq.shape != (b, t, hsz) or gsingle != single:
+            raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} mismatch")
+        gp = gseq.transpose(1, 0, 2).reshape(n, hsz)
+        xp = xb.transpose(1, 0, 2).reshape(n, d)
+    dtype = xp.dtype
+    wx_t = params.W_x.astype(dtype, copy=False).T
     wh_t = np.ascontiguousarray(params.W_h.T, dtype=dtype)
 
-    d_gates = np.empty((t, b, g4), dtype=dtype)
-    d_gate_major = d_gates.reshape(t, b, 4, hsz).transpose(0, 2, 1, 3)
-    dh, dc = (np.zeros((b, hsz), dtype=dtype) for _ in range(2))
-    dcc, tmp = (np.empty((b, hsz), dtype=dtype) for _ in range(2))
-    deriv, first = (np.empty((4, b, hsz), dtype=dtype) for _ in range(2))
-
-    for step in range(t - 1, -1, -1):
-        act, tc = acts[step], tcs[step]
-        dh += gseq[:, step]
+    d_gates = np.empty((n, g4), dtype=dtype)
+    dh, dc = (np.zeros((n0, hsz), dtype=dtype) for _ in range(2))
+    live = 0
+    for start, end, prev in reversed(steps):
+        m = end - start
+        if m != live:
+            dhm, dcm = dh[:m], dc[:m]
+            dcc, tmp = (np.empty((m, hsz), dtype=dtype) for _ in range(2))
+            deriv, first = (np.empty((4, m, hsz), dtype=dtype) for _ in range(2))
+            live = m
+        act = acts[start * g4:end * g4].reshape(4, m, hsz)
+        tc = tcs[start:end]
+        dhm += gp[start:end]
         np.multiply(tc, tc, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dh, act[3], out=dcc)
+        np.multiply(dhm, act[3], out=dcc)
         dcc *= tmp
-        dcc += dc  # dc + dh * o * (1 - tanh(c)^2)
+        dcc += dcm  # dc + dh * o * (1 - tanh(c)^2)
         # each gate's derivative: s * (1 - s) for i, f and o, 1 - g^2 for g
         np.subtract(1.0, act, out=deriv)
         deriv *= act
@@ -531,23 +637,27 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
         np.subtract(1.0, deriv[2], out=deriv[2])
         # d_gate = first * derivative, with first = dcc g, dcc c_prev, dcc i, dh tanh(c)
         np.multiply(dcc, act[2], out=first[0])
-        np.multiply(dcc, cs[step], out=first[1])
+        np.multiply(dcc, cs[prev:prev + m], out=first[1])
         np.multiply(dcc, act[0], out=first[2])
-        np.multiply(dh, tc, out=first[3])
-        np.multiply(first, deriv, out=d_gate_major[step])
-        np.matmul(d_gates[step], wh_t, out=dh)
-        np.multiply(dcc, act[1], out=dc)
+        np.multiply(dhm, tc, out=first[3])
+        np.multiply(first, deriv, out=_gate_major(d_gates[start:end]))
+        _matmul(d_gates[start:end], wh_t, dhm, gemm)
+        np.multiply(dcc, act[1], out=dcm)
 
-    dg2 = d_gates.reshape(t * b, g4)
-    x_tm = xb.transpose(1, 0, 2).reshape(t * b, -1)
-    grad_x = np.ascontiguousarray((dg2 @ wx.T).reshape(t, b, -1).transpose(1, 0, 2))
+    grad_x = np.empty((n, wx_t.shape[1]), dtype=dtype)
+    _matmul(d_gates, wx_t, grad_x, gemm)
+    # each packed row's h_prev: its sample's row of the step before, or a zero start row
+    h_prev = np.concatenate([hs[:0]] + [hs[prev:prev + end - start] for start, end, prev in steps])
     # the two bias vectors enter the gates as a sum, so they share a gradient
-    gb = dg2.sum(axis=0)  # (4H,)
-    grads = {"W_x": x_tm.T @ dg2, "W_h": hs[:-1].reshape(t * b, hsz).T @ dg2,
-             "b_x": gb, "b_h": gb.copy()}
-    if single:
-        grad_x = grad_x[0]
-    return grad_x, grads, dh, dc
+    gb = d_gates.sum(axis=0)  # (4H,)
+    grads = {"W_x": xp.T @ d_gates, "W_h": h_prev.T @ d_gates, "b_x": gb, "b_h": gb.copy()}
+    grad_h0, grad_c0 = (np.zeros((len(lengths), hsz), dtype=dtype) for _ in range(2))
+    grad_h0[sample[:n0]], grad_c0[sample[:n0]] = dh, dc
+    if single is not None:
+        grad_x = np.ascontiguousarray(grad_x.reshape(t, b, -1).transpose(1, 0, 2))
+        if single:
+            grad_x = grad_x[0]
+    return grad_x, grads, grad_h0, grad_c0
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,9 @@ def test_unsupported_version_raises(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
     raw = bytearray(path.read_bytes())
-    for version in (2, 99):  # version 2 kept the header outside the checksum
+    # version 2 kept the header outside the checksum; version 3 networks
+    # stepped their LSTMs over every pooled row
+    for version in (2, 3, 99):
         raw[13] = version  # version field follows the 13-byte magic
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch, match=f"version {version}"):
@@ -150,7 +152,7 @@ def test_header_is_config_seed_and_train_state_only(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path, train_state=TrainState(epoch=2, adam=AdamState.init(net.params)))
     version, header, payload = frame_parts(path.read_bytes(), MAGIC)
-    assert version == 3
+    assert version == 4
     assert sorted(header) == ["config", "seed", "train_state"]
     assert header["train_state"] == {"epoch": 2, "t": 0}
     assert len(payload) == 3 * 8 * sum(p.size for p in net.params.values())
@@ -207,8 +209,9 @@ def test_train_state_round_trip_enables_exact_resume(tmp_path):
 
 
 def test_train_state_alpha_of_older_files_is_ignored(tmp_path):
-    """Version 3 files written before the step size left the train state
-    record it as "alpha"; they load and resume at the TrainConfig's rate."""
+    """A train state that records a step size, as "alpha" (files written
+    before it left the train state did), loads and resumes at the
+    TrainConfig's rate."""
     cfg = NetConfig(t_max=16, feature_dim=4, scale_factor=Fraction(1, 64), n_classes=2,
                     classes=("COFFEE", "TEA"), dropout_rate=0.0)
     rng = np.random.default_rng(1)

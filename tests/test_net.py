@@ -393,6 +393,66 @@ def test_predict_and_chunked_infer_equal_the_zero_padded_batch(scale, dtype):
                                       forward(net, padded[i])[0])
 
 
+def reach_cfg():
+    """t_max 64: 14 pooled rows; 8 frames reach 2 of them, 24 frames 6."""
+    return NetConfig(t_max=64, feature_dim=10, scale_factor=Fraction(1, 64), n_classes=3,
+                     classes=("A", "B", "C"), dropout_rate=0.0)
+
+
+def test_a_sample_alone_equals_itself_beside_a_three_times_longer_one():
+    cfg = reach_cfg()
+    net = drawn_head_network(cfg)
+    short, long = ragged_dataset((20, 60), cfg.feature_dim).features
+    alone = infer(net, [[short]])[0]
+    assert len(set(alone.tolist())) > 1
+    np.testing.assert_allclose(infer(net, [[short, long]])[0], alone, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(infer(net, [[long, short]])[1], alone, rtol=0, atol=1e-12)
+
+
+def test_lstm_outputs_past_a_samples_reach_are_zero():
+    # so the dense1 rows that read them do not change its probabilities
+    cfg = reach_cfg()
+    net = drawn_head_network(cfg)
+    x = ragged_dataset((8, 24), cfg.feature_dim).features
+    want = infer(net, [x])
+    w = net.params["dense1/W"]
+    w[6 * cfg.lstm2_width:] = np.random.default_rng(1).standard_normal(w[6 * cfg.lstm2_width:].shape)
+    np.testing.assert_array_equal(infer(net, [x]), want)
+    w[2 * cfg.lstm2_width:] = 0.0
+    np.testing.assert_array_equal(infer(net, [x[:1]]), want[:1])
+
+
+def test_predict_ignores_absent_hand_frames_appended(rng):
+    cfg = NetConfig(t_max=120, scale_factor=Fraction(1, 32))
+    net = drawn_head_network(cfg, seed=4)
+    sample = random_sample(rng, n_frames=30)
+    extra = 25
+    n = 30 + extra
+
+    def extended(values):
+        return np.concatenate([values, np.zeros((extra,) + values.shape[1:], values.dtype)])
+
+    padded = gesture.GestureSample(
+        label=sample.label, timestamps=np.arange(n) / 60.0,
+        locations=extended(sample.locations), rotations=extended(sample.rotations),
+        hand_rotation=extended(sample.hand_rotation), present=extended(sample.present),
+        signer_id=sample.signer_id, handedness=sample.handedness, duration_s=(n - 1) / 60.0)
+    assert not gesture.encode_features(padded)[30:].any()
+    want = predict(net, sample).distribution
+    assert len(set(want.tolist())) > 1
+    np.testing.assert_array_equal(predict(net, padded).distribution, want)
+
+
+def test_end_to_end_gradients_with_an_all_zero_and_an_early_ending_sample():
+    # the 8-frame sample ends 12 pooled rows before the 64-frame one
+    cfg = reach_cfg()
+    net = drawn_head_network(cfg)
+    data = ragged_dataset((20, 8, 64), cfg.feature_dim)
+    data.features[0][:] = 0.0
+    x = data.batch(range(3), cfg.t_max, cfg.np_dtype)
+    assert _worst_fd_error(net, x, data.y) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------

@@ -599,6 +599,92 @@ def test_lstm_is_bit_identical_to_the_batch_major_step_at_published_width():
     assert_bits_equal(h_seq, batch_major_lstm(x, params)[0])
 
 
+def test_pack_index_is_step_major_longest_first_ties_in_batch_order():
+    sample, step = ops.pack_index([2, 0, 3, 2])
+    assert sample.tolist() == [2, 0, 3, 2, 0, 3, 2]
+    assert step.tolist() == [0, 0, 0, 1, 1, 1, 2]
+    for lengths in ([], [0, 0]):
+        assert [len(a) for a in ops.pack_index(lengths)] == [0, 0]
+    with pytest.raises(ShapeMismatch):
+        ops.pack_index([3, -1])
+
+
+@pytest.mark.parametrize("lengths", [(3, 0, 7, 5, 7), (4, 4, 4), (0, 0), (6, 1), (1,)])
+def test_packed_lstm_equals_each_sample_over_its_own_rows(lengths):
+    # forward: lstm_cell step by step over each sample's own rows, zeros
+    # after them; backward: BPTT of each sample alone, its parameter
+    # gradients summed over the samples
+    rng = np.random.default_rng(10 * len(lengths) + sum(lengths))
+    d, h_size = 3, 4
+    params = random_lstm_params(rng, d, h_size)
+    x = rng.standard_normal((len(lengths), max(lengths), d))
+    packed = ops.pack_index(lengths)
+    h_packed, cache = lstm_sequence(x[packed], params, lengths)
+    h_seq = np.zeros(x.shape[:2] + (h_size,))
+    h_seq[packed] = h_packed
+    grad_h_seq = rng.standard_normal(h_seq.shape)
+    gx_packed, grads, gh0, gc0 = lstm_sequence_backward(cache, params, grad_h_seq[packed])
+    gx = np.zeros(x.shape)
+    gx[packed] = gx_packed
+
+    want = {name: np.zeros_like(value) for name, value in vars(params).items()}
+    for i, n in enumerate(lengths):
+        h, c = np.zeros(h_size), np.zeros(h_size)
+        for t in range(n):
+            h, c, _ = lstm_cell(x[i, t], h, c, params)
+            np.testing.assert_allclose(h_seq[i, t], h, atol=1e-12, rtol=0)
+        assert not h_seq[i, n:].any()
+        if n == 0:
+            assert not gh0[i].any() and not gc0[i].any()
+            continue
+        xi = x[i:i + 1, :n]
+        ref_gx, ref_grads, ref_gh0, ref_gc0 = batch_major_lstm_backward(
+            xi, params, batch_major_lstm(xi, params), grad_h_seq[i:i + 1, :n])
+        np.testing.assert_allclose(gx[i, :n], ref_gx[0], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(gh0[i], ref_gh0[0], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(gc0[i], ref_gc0[0], atol=1e-12, rtol=0)
+        for name in want:
+            want[name] += ref_grads[name]
+    assert sorted(grads) == sorted(want)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, want[name], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_lstm_rows_do_not_depend_on_the_other_samples(dtype):
+    # beside a 2-step sample, steps 2 to 8 of the long one have one live
+    # row; it is still multiplied as GEMM, as beside a sample as long
+    rng = np.random.default_rng(3)
+    params = _cast_params(random_lstm_params(rng, 16, 32, scale=0.2), dtype)
+    x = rng.standard_normal((2, 9, 16)).astype(dtype)
+    grad = rng.standard_normal((9, 32)).astype(dtype)
+    runs = []
+    for lengths, xb in (((9, 2), x), ((9, 9), x), ((2, 9), x[::-1])):
+        packed = ops.pack_index(lengths)
+        long_rows = packed[0] == lengths.index(9)
+        h, cache = lstm_sequence(xb[packed], params, lengths)
+        g = np.zeros(h.shape, dtype)
+        g[long_rows] = grad
+        gx, _, gh0, _ = lstm_sequence_backward(cache, params, g)
+        runs.append((h[long_rows], gx[long_rows], gh0[lengths.index(9)]))
+    for got in runs[1:]:
+        for a, b in zip(got, runs[0]):
+            assert_bits_equal(a, b)
+
+
+def test_packed_lstm_refuses_inconsistent_lengths():
+    params = LSTMCellParams.zeros(3, 4)
+    with pytest.raises(ShapeMismatch):
+        lstm_sequence(np.zeros((5, 3)), params, [2, 2])
+    with pytest.raises(ShapeMismatch):
+        lstm_sequence(np.zeros((1, 5, 3)), params, [5])
+    with pytest.raises(ShapeMismatch):
+        lstm_sequence(np.zeros((2, 3)), params, [3, -1])
+    _, cache = lstm_sequence(np.zeros((4, 3)), params, [2, 2])
+    with pytest.raises(ShapeMismatch):
+        lstm_sequence_backward(cache, params, np.zeros((2, 2, 4)))
+
+
 # ---------------------------------------------------------------------------
 # Dropout
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ harness under perfbench/ looks up in the package."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,28 @@ def test_end_to_end_script_writes_its_artifacts(tmp_path):
     assert [name for _, name, _ in reported] == list(names)
     for _, name, digest in reported:
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(), name
+
+
+def test_signer_folds_script_holds_each_signer_out_once(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "folds.json"
+    for label in ("a", "b"):
+        r = subprocess.run([sys.executable, str(ROOT / "scripts" / "signer_folds.py"),
+                            "--signers", "5", "--reps", "1", "--epochs", "1", "--scale", "1/64",
+                            "--label", label, "--out", str(out)],
+                           capture_output=True, text=True, timeout=600,
+                           env={**os.environ, "PYTHONPATH": path})
+        assert r.returncode == 0, r.stderr
+    result = json.loads(out.read_text())
+    assert sorted(result) == ["a", "b"]
+    assert result["a"]["folds"] == result["b"]["folds"]  # deterministic
+    folds = result["a"]["folds"]
+    assert sorted(s for f in folds for s in f["held_out"]) == [f"s{i:02d}" for i in range(5)]
+    assert all(f["validation"] not in f["held_out"] for f in folds)
+    for tier in result["a"]["tiers"].values():
+        assert len(tier["fold_accuracy"]) == 5
+        assert abs(tier["mean"] - sum(tier["fold_accuracy"]) / 5) < 1e-12
+        assert sum(map(sum, tier["confusion"])) == 45  # 9 signs x 5 signers x 1 rep
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):
