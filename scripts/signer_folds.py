@@ -9,11 +9,11 @@ for testing, lets the next signer in the shuffled order validate and
 trains on the rest: the acceptance config (scale 1/16, float32, batch 128,
 learning rate 2e-3), 20 epochs at most, stopping early when the
 validation loss has not improved for 5 epochs.  Every signer is held out
-exactly once.
+exactly once when ``--signers`` is a multiple of 5.
 
 Each trained net is scored on its held-out signers twice: on the corpus
 at default variability, and on the same corpus generated with positional
-noise, orientation jitter and offset multiplied by 4 (``--harder``).  Per
+noise, orientation jitter and offset multiplied by 4.  Per
 tier the output holds each fold's accuracy, the mean and spread over the
 folds, and, from the confusion matrix summed over the folds, the recall
 of each class and the most-confused pairs.
@@ -38,23 +38,26 @@ from pathlib import Path
 
 import numpy as np
 
+FOLDS = 5
+PATIENCE = 5  # epochs without a better validation loss before training stops
+HARDER = 4.0  # factor on noise, jitter and offset of the harder tier
+SEED = 42
+TOP = 5  # most-confused pairs listed per tier
 
-def fold_splits(signers: list[str], folds: int, seed: int):
+
+def fold_splits(signers: list[str]):
     """(held out, validation signer, training signers) per fold."""
-    if len(signers) % folds or len(signers) // folds + 2 > len(signers):
-        raise SystemExit(f"{len(signers)} signers do not split into {folds} folds "
-                         "with a validation signer and a training signer left")
-    order = [signers[i] for i in np.random.default_rng(seed).permutation(len(signers))]
-    size = len(signers) // folds
+    order = [signers[i] for i in np.random.default_rng(SEED).permutation(len(signers))]
+    size = len(signers) // FOLDS
     out = []
-    for f in range(folds):
+    for f in range(FOLDS):
         held = order[f * size:(f + 1) * size]
         val = order[((f + 1) * size) % len(order)]
         out.append((held, val, [s for s in order if s not in held and s != val]))
     return out
 
 
-def tier_summary(accuracies: list[float], confusion: np.ndarray, classes, top: int):
+def tier_summary(accuracies: list[float], confusion: np.ndarray, classes):
     """Mean, spread, per-class recall and most-confused pairs of one tier."""
     off = [(int(confusion[i, j]), classes[i], classes[j])
            for i in range(len(classes)) for j in range(len(classes))
@@ -70,7 +73,7 @@ def tier_summary(accuracies: list[float], confusion: np.ndarray, classes, top: i
         "per_class_recall": {name: float(confusion[i, i] / totals[i]) if totals[i] else 0.0
                              for i, name in enumerate(classes)},
         "most_confused": [{"produced": a, "recognized": b, "count": n}
-                          for n, a, b in off[:top]],
+                          for n, a, b in off[:TOP]],
         "confusion": confusion.tolist(),
     }
 
@@ -80,14 +83,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--signers", type=int, default=15)
     parser.add_argument("--reps", type=int, default=6, help="repetitions per sign and signer")
-    parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--patience", type=int, default=5)
     parser.add_argument("--scale", type=Fraction, default=Fraction(1, 16))
-    parser.add_argument("--harder", type=float, default=4.0,
-                        help="factor on noise, jitter and offset of the harder tier")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--top", type=int, default=5, help="confused pairs to list")
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
@@ -98,16 +95,16 @@ def main(argv=None) -> int:
     from aslchamp.gesture import GestureDataset
 
     spec = synth.DatasetSpec(signers=args.signers, repetitions_per_class=args.reps,
-                             master_seed=args.seed)
-    harder = replace(spec, noise_std_m=spec.noise_std_m * args.harder,
-                     orientation_jitter_deg=spec.orientation_jitter_deg * args.harder,
-                     offset_std_m=spec.offset_std_m * args.harder)
+                             master_seed=SEED)
+    harder = replace(spec, noise_std_m=spec.noise_std_m * HARDER,
+                     orientation_jitter_deg=spec.orientation_jitter_deg * HARDER,
+                     offset_std_m=spec.offset_std_m * HARDER)
     tiers = {"default": synth.generate_dataset(spec),
-             f"x{args.harder:g}": synth.generate_dataset(harder)}
+             f"x{HARDER:g}": synth.generate_dataset(harder)}
     corpus = tiers["default"]
     cfg = netmod.NetConfig(scale_factor=args.scale, dtype="float32")
     tc = netmod.TrainConfig(epochs=args.epochs, batch_size=128, learning_rate=2e-3,
-                            shuffle_seed=args.seed, early_stop_patience=args.patience)
+                            shuffle_seed=SEED, early_stop_patience=PATIENCE)
 
     def of(ds, signers):
         return GestureDataset(samples=[s for s in ds.samples if s.signer_id in signers])
@@ -116,9 +113,9 @@ def main(argv=None) -> int:
     folds = []
     accuracies = {name: [] for name in tiers}
     confusion = {name: 0 for name in tiers}
-    for held, val, train_signers in fold_splits(signers, args.folds, args.seed):
+    for held, val, train_signers in fold_splits(signers):
         t0 = time.perf_counter()
-        net = netmod.build_network(cfg, seed=args.seed)
+        net = netmod.build_network(cfg, seed=SEED)
         net, report, _ = netmod.train(
             net, netmod.encode_gesture_dataset(of(corpus, train_signers), cfg),
             netmod.encode_gesture_dataset(of(corpus, {val}), cfg), tc)
@@ -134,13 +131,13 @@ def main(argv=None) -> int:
               + f" ({time.perf_counter() - t0:.0f} s)", file=sys.stderr)
 
     result = {
-        "data": {"signers": args.signers, "repetitions": args.reps, "seed": args.seed,
-                 "classes": list(spec.classes), "harder_factor": args.harder},
+        "data": {"signers": args.signers, "repetitions": args.reps, "seed": SEED,
+                 "classes": list(spec.classes), "harder_factor": HARDER},
         "training": {"scale": str(args.scale), "dtype": cfg.dtype, "batch_size": tc.batch_size,
                      "learning_rate": tc.learning_rate, "epochs": args.epochs,
-                     "patience": args.patience, "net_seed": args.seed},
+                     "patience": PATIENCE, "net_seed": SEED},
         "folds": folds,
-        "tiers": {name: tier_summary(accuracies[name], confusion[name], cfg.classes, args.top)
+        "tiers": {name: tier_summary(accuracies[name], confusion[name], cfg.classes)
                   for name in tiers},
     }
     for name, summary in result["tiers"].items():

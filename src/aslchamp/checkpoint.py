@@ -21,7 +21,7 @@ came with the packed LSTMs: a version 3 file holds parameters of the same
 shapes, but its network stepped every sample over all pooled rows, so the
 same bytes would now predict differently.  The train state holds no
 learning rate: a resumed run takes it from its ``TrainConfig``, and a key
-it does not read (``"alpha"``, say) is ignored.
+it does not read is ignored.
 
 Loading verifies magic, version and checksum before it reads the header,
 then that the config is valid, that its classes are distinct

@@ -209,9 +209,8 @@ def test_train_state_round_trip_enables_exact_resume(tmp_path):
 
 
 def test_train_state_alpha_of_older_files_is_ignored(tmp_path):
-    """A train state that records a step size, as "alpha" (files written
-    before it left the train state did), loads and resumes at the
-    TrainConfig's rate."""
+    """A train state key the loader does not read ("alpha" here) is
+    ignored: the file loads and resumes at the TrainConfig's rate."""
     cfg = NetConfig(t_max=16, feature_dim=4, scale_factor=Fraction(1, 64), n_classes=2,
                     classes=("COFFEE", "TEA"), dropout_rate=0.0)
     rng = np.random.default_rng(1)
