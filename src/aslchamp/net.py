@@ -25,12 +25,18 @@ conv stages skip the constant suffix, which changes no output bit.
 
 Both LSTMs step each sample only over the pooled rows its frames reach,
 ceil(n / pool) per conv + pool stage (``_stage_reach``), packed from lstm1
-into lstm2; its LSTM outputs after those rows are zero, and ``flatten``
-still reads all ``pooled_len(2)`` rows, so the parameter shapes are those
-of the published model.  So a sample's probabilities depend neither on
-its padding nor on the other samples of its batch.  Repeating the last
-output over the padding instead (Keras-style masking) lost signer-held-out
-accuracy; see README.
+into lstm2; its LSTM outputs after those rows are zero.  dense1 reads the
+flattened LSTM outputs only up to the batch's longest reach R: its output
+is the sum, in ascending row order, of each pooled row r < R times its
+(H2, H) block of ``dense1/W`` (``nn_ops.dense_rows_forward``).  The
+stored ``dense1/W`` keeps all ``pooled_len(2)`` blocks, so the parameter
+shapes are those of the published model.  So a sample's probabilities
+depend neither on its padding nor on the other samples of its batch.
+Summing dense1 row by row rounds differently from the one product over
+all rows it replaced, in the last bits; the function is the same, so the
+checkpoint format did not change.  Repeating the last output over the
+padding instead (Keras-style masking) lost signer-held-out accuracy; see
+README.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ from .nn_ops import (
     conv1d_ragged_forward,
     dense_backward,
     dense_forward,
+    dense_rows_backward,
+    dense_rows_forward,
     dropout_backward,
     dropout_forward,
     lstm_sequence,
@@ -391,8 +399,11 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     sample's own rows only (``conv1d_ragged_forward``), both conv stages
     skip the constant suffix (``_stage_input_len``), and both LSTMs step
     each sample only over the pooled rows its frames reach, packed
-    (``nn_ops.pack_index``); its LSTM outputs after them are zero.  So the
-    result equals that of the zero-padded (B, t_max, D) batch bit for bit.
+    (``nn_ops.pack_index``); its LSTM outputs after them are zero, and
+    dense1 reads the (B, R, H2) outputs up to the batch's longest reach R
+    only (``nn_ops.dense_rows_forward``), a row past a sample's own reach
+    adding an exact zero.  So the result equals that of the zero-padded
+    (B, t_max, D) batch bit for bit.
     """
     cfg = net.config
     p = net.params
@@ -411,16 +422,16 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     packed = pack_index(lengths)
     h1, lstm1_cache = lstm_sequence(pool2[packed], _lstm(p, "lstm1"), lengths)
     h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"), lengths)
-    seq = np.zeros((len(xs), cfg.pooled_len(2), h2.shape[1]), dtype=h2.dtype)
+    seq = np.zeros((len(xs), lengths.max(), h2.shape[1]), dtype=h2.dtype)
     seq[packed] = h2
-    flat = seq.reshape(len(xs), -1)
 
     cache.update(xs=xs, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2, packed=packed,
-                 lstm1=lstm1_cache, lstm2=lstm2_cache, seq_shape=seq.shape)
+                 lstm1=lstm1_cache, lstm2=lstm2_cache)
 
-    act = flat
+    act = seq
     for i in range(1, 4):
-        act, dcache = dense_forward(act, p[f"dense{i}/W"], p[f"dense{i}/b"], activation="tanh")
+        dense = dense_rows_forward if i == 1 else dense_forward
+        act, dcache = dense(act, p[f"dense{i}/W"], p[f"dense{i}/b"], activation="tanh")
         mode = "train" if train else "infer"
         act, mask = dropout_forward(act, cfg.dense_dropout, mode, rng)
         cache[f"dense{i}"] = dcache
@@ -434,7 +445,9 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
 def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     """Parameter gradients of the batch ``_forward_full`` cached.
 
-    The LSTM gradients run packed, over each sample's own pooled rows.
+    dense1's input gradient is (B, R, H2), up to the batch's longest reach
+    R, and its weight gradient is zero in the blocks of ``dense1/W`` past
+    R.  The LSTM gradients run packed, over each sample's own pooled rows.
     Rows stage 1 skipped are copies of its last stored rows, so their
     gradients reach the stage summed into those rows (``_fold_tail``), and
     conv1's kernel gradient sums each sample's own rows only
@@ -449,10 +462,11 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
                                                        grad_logits.astype(cfg.np_dtype))
     for i in range(3, 0, -1):
         g = dropout_backward(g, cache[f"drop{i}"], cfg.dense_dropout)
-        g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense_backward(cache[f"dense{i}"], g)
+        dense = dense_rows_backward if i == 1 else dense_backward
+        g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense(cache[f"dense{i}"], g)
 
     packed = cache["packed"]
-    g = g.reshape(cache["seq_shape"])[packed]
+    g = g[packed]
     for layer in ("lstm2", "lstm1"):
         g, lstm_grads, _, _ = lstm_sequence_backward(cache[layer], _lstm(p, layer), g)
         grads.update((f"{layer}/{name}", val) for name, val in lstm_grads.items())

@@ -30,6 +30,12 @@ bit for bit.  In a batch of two or more samples a step with one live row
 is still a GEMM (``_matmul``), so a sample's states do not depend on its
 batch.  ``lstm_cell`` and ``lstm_sequence`` share the single step
 implementation ``_lstm_step``.
+The first dense layer takes an LSTM's (B, R, H) outputs unflattened
+(``dense_rows_forward``): its weight matrix stands for N >= R rows of H
+values, and only the blocks that meet the R rows given are multiplied;
+the others meet rows that count as zero.  The R products are added one
+block at a time, in ascending order, so the zero rows that end a sample
+add exact zeros, and R does not change its output.
 """
 
 from __future__ import annotations
@@ -340,6 +346,56 @@ def dense_backward(cache, grad_out: np.ndarray):
     grad_b = g2.sum(axis=0)
     grad_x = gz @ w.T
     return grad_x, grad_w, grad_b
+
+
+def dense_rows_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                       activation: str | None = None):
+    """``dense_forward`` of x (B, R, D) flattened to (B, R*D), against w
+    (N*D, H) with N >= R standing as (N, D, H): b + sum_{r<R} x[:, r] @ w_r,
+    w_r its (D, H) block r; returns (out, cache).  w's rows past R*D are
+    not read; they stand for the rows of x past R, which count as zero.
+
+    Each block's product is one matmul with K = D, into one reused (B, H)
+    buffer, and the products are added in ascending r, one at a time.  So
+    the rows of x past a sample's last non-zero one add an exact zero, and
+    its output depends neither on R nor, for B >= 2, on the other samples
+    of the batch (each product is a GEMM, whose rows do not depend on how
+    many there are).  One GEMM of K = R*D would not do: BLAS picks its K
+    blocks from K, so its sums would change with R.  Nor is there an
+    (R, B, H) array of all the products: at B = 128 it is megabytes, and
+    allocating it every step page-faults.
+    """
+    if x.ndim != 3:
+        raise ShapeMismatch(f"x must be (B, R, D), got {x.shape}")
+    n, r, d = x.shape
+    if w.ndim != 2 or w.shape[0] % d or r * d > w.shape[0]:
+        raise ShapeMismatch(f"x {x.shape} incompatible with w {w.shape}: "
+                            f"need (N*{d}, H) with N >= {r}")
+    if b.shape != (w.shape[1],):
+        raise ShapeMismatch(f"bias {b.shape} != ({w.shape[1]},)")
+    if activation not in (None, "tanh"):
+        raise ValueError(f"unsupported activation {activation!r}")
+    blocks = w[:r * d].reshape(r, d, w.shape[1])
+    z = np.zeros((n, w.shape[1]), dtype=np.result_type(x, w))
+    product = np.empty_like(z)
+    for i in range(r):
+        np.matmul(x[:, i], blocks[i], out=product)
+        z += product
+    z += b
+    out = np.tanh(z) if activation == "tanh" else z
+    return out, (x, w, out, activation)
+
+
+def dense_rows_backward(cache, grad_out: np.ndarray):
+    """Adjoint of ``dense_rows_forward``; returns (grad_x, grad_w, grad_b),
+    grad_x (B, R, D) and grad_w in w's shape, zero in the rows past R*D."""
+    x, w, out, activation = cache
+    n, r, d = x.shape
+    grad_x, grad_rows, grad_b = dense_backward((x.reshape(n, r * d), w[:r * d], out, activation),
+                                               grad_out)
+    grad_w = np.zeros(w.shape, dtype=grad_rows.dtype)
+    grad_w[:r * d] = grad_rows
+    return grad_x.reshape(n, r, d), grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,30 @@ def test_lstm_outputs_past_a_samples_reach_are_zero():
     np.testing.assert_array_equal(infer(net, [x[:1]]), want[:1])
 
 
+def test_dense1_reads_no_row_past_the_longest_reach():
+    # the LSTM outputs there are zero, and 0 * NaN is NaN: the dense1/W rows
+    # past the batch's longest reach must not be read, nor get a gradient
+    cfg = NetConfig(scale_factor=Fraction(1, 16), dtype="float32")
+    net = drawn_head_network(cfg, seed=5)
+    samples = desk_samples()[:4]  # 73 and 242 frames: they reach 19 and 61 pooled rows
+    data = encode_gesture_dataset(gesture.GestureDataset(samples=samples), cfg)
+    x = data.batch(range(len(data)), cfg.t_max, cfg.np_dtype)
+    assert [len(s) for s in x] == [73, 73, 242, 242]
+    w = net.params["dense1/W"]
+    clean = w.copy()
+    for reach, run in ((19, lambda: predict(net, samples[0]).distribution),
+                       (61, lambda: infer(net, [x]))):
+        w[:] = clean
+        want = run()
+        w[reach * cfg.lstm2_width:] = np.nan
+        np.testing.assert_array_equal(run(), want)
+    w[:] = clean
+    _, _, cache, grad_logits = _batch_loss(net, x, data.y)
+    grad = _backward_full(net, cache, grad_logits)["dense1/W"]
+    assert grad[60 * cfg.lstm2_width:61 * cfg.lstm2_width].any()
+    assert not grad[61 * cfg.lstm2_width:].any()
+
+
 def test_predict_ignores_absent_hand_frames_appended(rng):
     cfg = NetConfig(t_max=120, scale_factor=Fraction(1, 32))
     net = drawn_head_network(cfg, seed=4)

@@ -19,6 +19,8 @@ from aslchamp.nn_ops import (
     cross_entropy_grad_logits,
     dense_backward,
     dense_forward,
+    dense_rows_backward,
+    dense_rows_forward,
     dropout_backward,
     dropout_forward,
     grad_check,
@@ -403,6 +405,62 @@ def test_dense_backward_matches_finite_differences(rng, activation):
     out, cache = dense_forward(x, w_mat, b, activation=activation)
     gx, gw, gb = dense_backward(cache, proj)
     assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
+
+
+def test_dense_rows_equals_dense_on_the_flattened_zero_padded_input(rng):
+    x = rng.standard_normal((3, 5, 4))
+    w_mat = rng.standard_normal((8 * 4, 6))
+    b = rng.standard_normal(6)
+    padded = np.zeros((3, 8 * 4))
+    padded[:, :5 * 4] = x.reshape(3, -1)
+    for activation in (None, "tanh"):
+        got, _ = dense_rows_forward(x, w_mat, b, activation=activation)
+        want, _ = dense_forward(padded, w_mat, b, activation=activation)
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_rows_ignore_zero_rows_and_the_rest_of_the_batch(dtype):
+    # sample 1 ends after row 3: its output is the same bits whatever the
+    # rows after it, R and (B >= 2) the samples beside it
+    rng = np.random.default_rng(2)
+    d, h = 64, 96
+    w_mat = rng.standard_normal((12 * d, h)).astype(dtype)
+    b = rng.standard_normal(h).astype(dtype)
+    x = rng.standard_normal((5, 7, d)).astype(dtype)
+    x[1, 3:] = 0.0
+    want, _ = dense_rows_forward(x, w_mat, b)
+    longer = np.concatenate([x, np.zeros((5, 5, d), dtype)], axis=1)
+    np.testing.assert_array_equal(dense_rows_forward(longer, w_mat, b)[0], want)
+    for batch, row in ((x[[4, 1]], 1), (x[1:3, :3], 0), (longer[[1, 0, 2, 3]], 0)):
+        np.testing.assert_array_equal(dense_rows_forward(batch, w_mat, b)[0][row], want[1])
+
+
+@pytest.mark.parametrize("activation", [None, "tanh"])
+def test_dense_rows_backward_matches_finite_differences(rng, activation):
+    x = 0.5 * rng.standard_normal((3, 2, 4))  # tanh unsaturated, where differences keep their digits
+    w_mat = rng.standard_normal((3 * 4, 5))
+    b = rng.standard_normal(5)
+    proj = rng.standard_normal((3, 5))
+
+    def loss(x_, w_, b_):
+        out, _ = dense_rows_forward(x_, w_, b_, activation=activation)
+        return float(np.sum(proj * out))
+
+    out, cache = dense_rows_forward(x, w_mat, b, activation=activation)
+    gx, gw, gb = dense_rows_backward(cache, proj)
+    assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
+    assert not gw[2 * 4:].any()
+
+
+def test_dense_rows_refuse_bad_shapes():
+    w_mat, b = np.zeros((12, 5)), np.zeros(5)
+    for x, bias in ((np.zeros((2, 2, 5)), b),  # 12 rows are no whole number of D = 5 blocks
+                    (np.zeros((2, 4, 4)), b),  # R*D = 16 > 12 rows
+                    (np.zeros((2, 3, 4)), np.zeros(4)),
+                    (np.zeros((2, 12)), b)):
+        with pytest.raises(ShapeMismatch):
+            dense_rows_forward(x, w_mat, bias)
 
 
 # ---------------------------------------------------------------------------
