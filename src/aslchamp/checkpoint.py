@@ -3,7 +3,7 @@
 The file is one ``framing`` frame (all integers little-endian):
 
     bytes  0..12   magic "ASLCHAMP-CKPT"
-    u32            format version (4)
+    u32            format version (5)
     u32            header length in bytes
     header         UTF-8 JSON: {"config": ..., "seed": ..., "train_state":
                    null or {"epoch", "t"}}
@@ -14,14 +14,16 @@ The file is one ``framing`` frame (all integers little-endian):
     u64 tail       first 8 bytes of SHA-256 over every byte before it
 
 The config fixes every array's shape and dtype, so the header lists none.
-An LSTM layer is the four fused arrays ``W_x (D, 4H)``, ``W_h (H, 4H)``,
-``b_x (4H,)`` and ``b_h (4H,)``.  Files of earlier versions are refused
-with ``VersionMismatch``; there is no converter, so retrain.  Version 4
-came with the packed LSTMs: a version 3 file holds parameters of the same
-shapes, but its network stepped every sample over all pooled rows, so the
-same bytes would now predict differently.  The train state holds no
-learning rate: a resumed run takes it from its ``TrainConfig``, and a key
-it does not read is ignored.
+An LSTM layer is the arrays ``W_x (D, 4H)``, ``b_x (4H,)`` and ``b_h
+(4H,)``, with gate column blocks i, f, g, o, and the gate-major ``W_h (4,
+H, H)``.  Files of earlier versions are refused with ``VersionMismatch``;
+there is no converter, so retrain.  Version 5 came with the gate-major
+``W_h``: a version 4 file stores it as one (H, 4H) matrix, the same bytes
+in another order.  Version 4 came with the packed LSTMs: a version 3 file
+holds parameters of the same shapes, but its network stepped every sample
+over all pooled rows, so the same bytes would now predict differently.
+The train state holds no learning rate: a resumed run takes it from its
+``TrainConfig``, and a key it does not read is ignored.
 
 Loading verifies magic, version and checksum before it reads the header,
 then that the config is valid, that its classes are distinct
@@ -42,7 +44,7 @@ from .net import ChampNet, NetConfig, TrainState, _param_shapes
 from .nn_ops import AdamState
 
 MAGIC = b"ASLCHAMP-CKPT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class CheckpointError(Exception):

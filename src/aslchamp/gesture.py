@@ -282,14 +282,17 @@ def encode_features(sample: GestureSample) -> np.ndarray:
     """
     require_valid(sample)
     t = sample.timestamps.size
+    # written in place into the one output array: a verdict allocates no
+    # other array of its size
+    hands = np.empty((t, 2, HAND_FEATURE_DIM))
+    joints = hands[:, :, :NUM_JOINTS * 6].reshape(t, 2, NUM_JOINTS, 6)  # loc xyz, then rot pyr
     with np.errstate(over="ignore", invalid="ignore"):
-        loc = (sample.locations - _wrist_center(sample)) / LOCATION_SCALE_M
-        rot = sample.rotations / ROTATION_SCALE_DEG
-        hands = np.concatenate([
-            np.concatenate([loc, rot], axis=3).reshape(t, 2, -1),  # per joint: loc xyz then rot pyr
-            sample.hand_rotation / ROTATION_SCALE_DEG,
-        ], axis=2)
-    values = np.where(sample.present[:, :, None], hands, 0.0).reshape(t, FEATURE_DIM)
+        np.subtract(sample.locations, _wrist_center(sample), out=joints[..., :3])
+        joints[..., :3] /= LOCATION_SCALE_M
+        np.divide(sample.rotations, ROTATION_SCALE_DEG, out=joints[..., 3:])
+        np.divide(sample.hand_rotation, ROTATION_SCALE_DEG, out=hands[:, :, NUM_JOINTS * 6:])
+    hands[~sample.present] = 0.0
+    values = hands.reshape(t, FEATURE_DIM)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise InvalidSample(f"non-finite: encoded features overflow at frame "

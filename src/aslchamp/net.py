@@ -8,9 +8,10 @@ starts at zero, so an untrained network predicts the exactly uniform
 distribution and loss ln(K); ``train`` draws it when training starts.
 
 Parameters live in ``ChampNet.params`` under "<layer>/<name>" keys, each in
-the layout its kernel uses: an LSTM layer is ``W_x (D, 4H)``, ``W_h (H, 4H)``,
-``b_x (4H,)`` and ``b_h (4H,)`` with gate column blocks i, f, g, o.  All
-inference (``forward``, ``predict``, the validation pass, and
+the layout its kernel reads it in: a conv layer's kernels are ``K (F, k,
+D)``, multiplied in place; an LSTM layer is ``W_x (D, 4H)``, ``b_x (4H,)``
+and ``b_h (4H,)`` with gate column blocks i, f, g, o, and ``W_h (4, H,
+H)``, one (H, H) block per gate in the same order.  All inference (``forward``, ``predict``, the validation pass, and
 ``evaluation.evaluate``) runs through ``infer``.
 
 The network's input is t_max rows long, but a sample may hold fewer: a
@@ -233,7 +234,7 @@ def _param_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
     shapes["conv2/b"] = (cfg.conv2_width,)
     for layer, d_in, h in _lstm_layers(cfg):
         shapes[f"{layer}/W_x"] = (d_in, 4 * h)
-        shapes[f"{layer}/W_h"] = (h, 4 * h)
+        shapes[f"{layer}/W_h"] = (4, h, h)
         shapes[f"{layer}/b_x"] = (4 * h,)
         shapes[f"{layer}/b_h"] = (4 * h,)
     d_prev = cfg.flat_dim
@@ -265,8 +266,8 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
     forget block of ``b_x``) starts at +1 and the output layer at zero (so an
     untrained network is exactly uniform; ``train`` draws it).  Each LSTM
     gate's block is drawn as an (H, D) and an (H, H) matrix, gate by gate in
-    the order i, f, g, o, and stored transposed into its column block of W_x
-    and W_h.
+    the order i, f, g, o, and stored transposed: into its column block of
+    W_x, and as its (H, H) block of W_h.
 
     Plain Glorot keeps the tanh stack out of saturation: on 128 desk
     samples at scale 1/16 no conv or dense unit starts at |y| > 0.99.
@@ -289,7 +290,7 @@ def build_network(cfg: NetConfig, seed: int = 0) -> ChampNet:
         for idx in range(len(LSTMCellParams.GATE_ORDER)):
             block = slice(idx * h, (idx + 1) * h)
             wx[:, block] = _glorot(rng, (h, d), d, h, dtype).T
-            wh[:, block] = rng.uniform(-bound, bound, size=(h, h)).astype(dtype).T
+            wh[idx] = rng.uniform(-bound, bound, size=(h, h)).astype(dtype).T
         params[f"{layer}/b_x"][h:2 * h] = 1.0  # forget gate
     for i in range(1, len(cfg.dense_widths) + 1):
         params[f"dense{i}/W"] = _glorot(rng, shapes[f"dense{i}/W"], *shapes[f"dense{i}/W"], dtype)
@@ -340,8 +341,8 @@ def _stage_input_len(n: int, length: int, k: int, pool: int) -> int:
     row.
 
     A conv window wholly inside the constant rows outputs one constant row,
-    and so do the tanh and the pool after it; the pool's argmax there is the
-    window's first index.  So the stage computes the pooled rows that can
+    and so do the tanh and the pool after it; the pool's offset there is 0,
+    the window's first row.  So the stage computes the pooled rows that can
     differ (``_stage_reach``) plus one constant row, each equal to the
     full-length stage's row bit for bit, and every pooled row past them
     equals its last row.
@@ -413,11 +414,13 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     frames = [_frames(x) for x in xs]
     xs = [x[:n] for x, n in zip(xs, frames)]
     need1 = _stage_input_len(max(frames), cfg.t_max, k, pool)
-    t1 = np.tanh(conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1))
-    pool1, arg1 = maxpool1d_forward(t1, pool, pool)
+    t1 = conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1)
+    np.tanh(t1, out=t1)
+    pool1, off1 = maxpool1d_forward(t1, pool, pool)
     x2 = _repeat_last(pool1, _stage_input_len(pool1.shape[1], cfg.pooled_len(1), k, pool))
-    t2 = np.tanh(conv1d_forward(x2, p["conv2/K"], p["conv2/b"]))
-    pool2, arg2 = maxpool1d_forward(t2, pool, pool)
+    t2 = conv1d_forward(x2, p["conv2/K"], p["conv2/b"])
+    np.tanh(t2, out=t2)
+    pool2, off2 = maxpool1d_forward(t2, pool, pool)
     lengths = _lstm_lengths(cfg, frames)
     packed = pack_index(lengths)
     h1, lstm1_cache = lstm_sequence(pool2[packed], _lstm(p, "lstm1"), lengths)
@@ -425,7 +428,7 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     seq = np.zeros((len(xs), lengths.max(), h2.shape[1]), dtype=h2.dtype)
     seq[packed] = h2
 
-    cache.update(xs=xs, t1=t1, arg1=arg1, x2=x2, t2=t2, arg2=arg2, packed=packed,
+    cache.update(xs=xs, t1=t1, off1=off1, x2=x2, t2=t2, off2=off2, packed=packed,
                  lstm1=lstm1_cache, lstm2=lstm2_cache)
 
     act = seq
@@ -471,14 +474,14 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
         g, lstm_grads, _, _ = lstm_sequence_backward(cache[layer], _lstm(p, layer), g)
         grads.update((f"{layer}/{name}", val) for name, val in lstm_grads.items())
 
-    g_pool2 = np.zeros(cache["arg2"].shape, dtype=g.dtype)
+    g_pool2 = np.zeros(cache["off2"].shape, dtype=g.dtype)
     g_pool2[packed] = g
-    g = maxpool1d_backward(g_pool2, cache["arg2"], cache["t2"].shape[1], stride=cfg.pool)
+    g = maxpool1d_backward(g_pool2, cache["off2"], cache["t2"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t2"], g)
     g, grads["conv2/K"], grads["conv2/b"] = conv1d_backward(
         cache["x2"], p["conv2/K"], g)
-    g = _fold_tail(g, cache["arg1"].shape[1])
-    g = maxpool1d_backward(g, cache["arg1"], cache["t1"].shape[1], stride=cfg.pool)
+    g = _fold_tail(g, cache["off1"].shape[1])
+    g = maxpool1d_backward(g, cache["off1"], cache["t1"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t1"], g)
     grads["conv1/K"], grads["conv1/b"] = conv1d_ragged_backward(cache["xs"], p["conv1/K"], g)
     return grads

@@ -6,22 +6,31 @@ are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Time-major layouts: a single sequence is (T, D) and a
 batch is (B, T, D).  Ops accept either and preserve which one they were given.
 Only what the network uses is here: convolution is stride 1 with valid
-padding, max pooling takes non-overlapping windows, and an LSTM sequence
-starts from the zero state.  The first convolution also takes a ragged
-batch, a sequence of (T_i, D) samples standing for the batch zero-padded to
-a common length (``conv1d_ragged_forward`` and its parameter gradient):
-only each sample's own rows are multiplied.
-LSTM parameters are stored fused, one (D, 4H) and one (H, 4H) matrix per
-layer, and every GEMM runs on that layout.  ``lstm_sequence`` is
-length-aware: given per-sample lengths it takes and returns the packed
-form of the batch (``pack_index``, the layout of PyTorch's
-``pack_padded_sequence``), sorted longest first, and step t multiplies only
-the rows of the samples still running, a prefix of step t - 1's.  A batch
-without lengths runs as the packed batch of equal lengths.  The whole
-input goes through W_x in one GEMM over the packed rows before the time
-loop, so each step does one gate GEMM, h W_h; the backward pass forms the
-input and weight gradients in one GEMM each after the loop.  Inside the
-loop the gates are gate-major, (4, n_t, H), so each gate is one contiguous
+padding, max pooling takes non-overlapping windows and reports each
+maximum by its offset in its window, and an LSTM sequence starts from the
+zero state.  Both conv ops multiply against the stored (F, k, D) kernels in
+place, as one (D, F*k) view, and sum the taps from its filter-major
+columns.  The first convolution also takes a ragged batch, a sequence of
+(T_i, D) samples standing for the batch zero-padded to a common length
+(``conv1d_ragged_forward`` and its parameter gradient): only each sample's
+own rows are multiplied, and its taps are summed only over the output rows
+that read them.
+LSTM parameters are stored as the step reads them: W_x fused as one
+(D, 4H) matrix, W_h gate-major as (4, H, H), one (H, H) block per gate.
+``lstm_sequence`` is length-aware: given per-sample lengths it takes and
+returns the packed form of the batch (``pack_index``, the layout of
+PyTorch's ``pack_padded_sequence``), sorted longest first, and step t
+multiplies only the rows of the samples still running, a prefix of step
+t - 1's.  A batch without lengths runs as the packed batch of equal
+lengths.  The whole input goes through W_x in one GEMM over the packed
+rows before the time loop, so each step does only the recurrent product,
+h W_h; the backward pass forms the input and weight gradients in one GEMM
+each after the loop.  With one row a step (B = 1), h W_h is four GEMVs,
+one per gate block, in reverse order on every other step, so the blocks
+multiplied last are still in L2 when the next step starts (the gate-block
+guard, ``_recurrent_operand``, says where); otherwise it is one product
+with the fused (H, 4H) matrix, assembled once per call.  Inside the loop
+the gates are gate-major, (4, n_t, H), so each gate is one contiguous
 block and the element-wise work of all four gates runs as a few wide ops,
 one tanh among them (sigmoid(z) = 0.5 tanh(z/2) + 0.5 on i, f and o).
 Every value is formed by the same operations in the same order as with
@@ -40,7 +49,9 @@ add exact zeros, and R does not change its output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,16 +77,19 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ShapeMismatch(f"expected 2-D or 3-D input, got shape {x.shape}")
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, gemm: bool):
-    """``np.matmul(a, b, out=out)``; with ``gemm`` a one-row ``a`` is
-    multiplied as GEMM too.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, min_rows: int = 1):
+    """``np.matmul(a, b, out=out)``, an ``a`` of fewer than ``min_rows`` rows
+    multiplied with zero rows appended up to ``min_rows``.
 
     numpy hands a one-row product to GEMV, which sums in another order than
-    GEMM; a zero second row keeps it a GEMM, whose rows do not depend on how
-    many there are.
+    GEMM, and OpenBLAS hands a small product to its small-matrix kernels,
+    which may too; zero rows up to ``min_rows`` keep the product in the
+    blocked GEMM, whose rows do not depend on how many there are.
     """
-    if gemm and len(a) == 1:
-        out[...] = (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
+    if len(a) < min_rows:
+        padded = np.zeros((min_rows, a.shape[1]), dtype=a.dtype)
+        padded[:len(a)] = a
+        out[...] = (padded @ b)[:len(a)]
     else:
         np.matmul(a, b, out=out)
 
@@ -135,19 +149,33 @@ def _check_conv_shapes(x, kernels, bias):
         raise ShapeMismatch(f"sequence length {x.shape[-2]} shorter than kernel {k}")
 
 
-def _tap_matrix(kernels: np.ndarray, dtype) -> np.ndarray:
-    """kernels (F, k, D_in) as one (D_in, k*F) matrix, column a*F + f tap a of filter f."""
+# OpenBLAS multiplies a product of at most this many output cells whose
+# right operand is transposed, as ``_taps`` is, in a small-matrix kernel
+# that sums in another order than its blocked GEMM.
+_SMALL_GEMM_CELLS = 1200
+
+
+def _taps(kernels: np.ndarray, dtype) -> np.ndarray:
+    """kernels (F, k, D_in) read in place as one (D_in, F*k) matrix, column
+    f*k + a tap a of filter f: a view, no copy (unless ``dtype`` differs)."""
     f, k, d_in = kernels.shape
-    return kernels.transpose(2, 1, 0).reshape(d_in, k * f).astype(dtype, copy=False)
+    return kernels.reshape(f * k, d_in).T.astype(dtype, copy=False)
+
+
+def _tap_rows(taps: np.ndarray) -> int:
+    """``_matmul``'s min_rows for a product with ``taps``: enough rows that
+    OpenBLAS takes neither GEMV nor its small-matrix kernel, so that a row's
+    product does not depend on how many rows there are."""
+    return max(2, _SMALL_GEMM_CELLS // taps.shape[1] + 1)
 
 
 def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray):
-    """Writes out[b, t, f] = bias[f] + sum_a y[b, t + a, a, f], from the
-    products y (B, T, k, F) of every input row with every tap."""
+    """Writes out[b, t, f] = bias[f] + sum_a y[b, t + a, f, a], from the
+    products y (B, T, F, k) of every input row with every tap."""
     t_out = out.shape[1]
     out[...] = bias
-    for a in range(y.shape[2]):
-        out += y[:, a:a + t_out, a, :]
+    for a in range(y.shape[3]):
+        out += y[:, a:a + t_out, :, a]
 
 
 def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -156,10 +184,12 @@ def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     xb, single = _as_batch(x)
     f, k, d_in = kernels.shape
     b, t, _ = xb.shape
-    # one GEMM against all taps at once, then gather the shifted tap planes
-    y = (xb.reshape(b * t, d_in) @ _tap_matrix(kernels, xb.dtype)).reshape(b, t, k, f)
+    # one GEMM against all taps of the stored kernels, then gather the shifted taps
+    taps = _taps(kernels, xb.dtype)
+    y = np.empty((b * t, f * k), dtype=xb.dtype)
+    _matmul(xb.reshape(b * t, d_in), taps, y, _tap_rows(taps))
     out = np.empty((b, t - k + 1, f), dtype=xb.dtype)
-    _sum_taps(y, bias, out)
+    _sum_taps(y.reshape(b, t, f, k), bias, out)
     return out[0] if single else out
 
 
@@ -209,24 +239,33 @@ def conv1d_ragged_forward(xs, kernels: np.ndarray, bias: np.ndarray,
     i is xs[i], a (T_i, D) array with T_i <= length, followed by zero rows.
 
     Sample by sample, its own rows go through the tap GEMM into one reused
-    (length, k*F) buffer whose other rows are set to zero, the product of a
-    zero row, and the taps are summed from there; the padding is never
-    built or multiplied.  Every row of the GEMM is the one the padded
-    batch's GEMM gives, so the output equals conv1d_forward on the
-    zero-padded batch bit for bit.  ``xs`` may also be a (B, T, D) array.
+    buffer, followed by the k - 1 zero rows (the product of a zero row) its
+    last output rows read, and the taps are summed over the output rows
+    that read one of its rows.  Every later output row reads zero rows
+    only, so it is bias + 0.0 (the zero taps added turn a -0.0 into +0.0
+    and change nothing else).  The padding is never built or multiplied.
+    Every row of the GEMM is the one the padded batch's GEMM gives, so the
+    output equals conv1d_forward on the zero-padded batch bit for bit.
+    ``xs`` may also be a (B, T, D) array.
     """
     _check_ragged(xs, kernels, length)
     if bias.shape != (kernels.shape[0],):
         raise ShapeMismatch(f"bias shape {bias.shape} != ({kernels.shape[0]},)")
     f, k, d_in = kernels.shape
     dtype = xs[0].dtype
-    k2 = _tap_matrix(kernels, dtype)
-    out = np.empty((len(xs), length - k + 1, f), dtype=dtype)
-    y = np.empty((length, k * f), dtype=dtype)
+    taps = _taps(kernels, dtype)
+    min_rows = _tap_rows(taps)
+    t_out = length - k + 1
+    rest = bias.astype(dtype) + dtype.type(0)
+    out = np.empty((len(xs), t_out, f), dtype=dtype)
+    y = np.empty((length, f * k), dtype=dtype)
     for row, x in zip(out, xs):
-        _matmul(x, k2, y[:len(x)], gemm=length > 1)
-        y[len(x):] = 0
-        _sum_taps(y.reshape(1, length, k, f), bias, row[None])
+        n = len(x)
+        live = min(n, t_out)  # the output rows that read one of the sample's rows
+        _matmul(x, taps, y[:n], min_rows)
+        y[n:live + k - 1] = 0
+        _sum_taps(y[:live + k - 1].reshape(1, live + k - 1, f, k), bias, row[None, :live])
+        row[live:] = rest
     return out
 
 
@@ -266,10 +305,13 @@ def conv1d_ragged_backward(xs, kernels: np.ndarray, grad_out: np.ndarray):
 
 
 def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
-    """Returns (pooled, argmax) over non-overlapping windows (``stride`` must
-    equal ``window``; rows past the last whole window are dropped).  argmax
-    holds absolute time indices; ties go to the first index in the window,
-    and a window holding NaN reports its first NaN (numpy argmax convention).
+    """Returns (pooled, offsets) over non-overlapping windows (``stride`` must
+    equal ``window``; rows past the last whole window are dropped).
+
+    offsets[..., j, f] is the in-window position of window j's maximum, as
+    uint8 for windows of up to 256 rows (the input row is j * window +
+    offset); ties go to the first entry, and a window holding NaN reports
+    its first NaN (numpy argmax convention).
     """
     xb, single = _as_batch(x)
     b, t, f = xb.shape
@@ -279,40 +321,53 @@ def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
         raise ShapeMismatch(f"stride {stride} != window {window}: windows must not overlap")
     t_out = t // window
     win = xb[:, :t_out * window].reshape(b, t_out, window, f)
-    out = win.max(axis=2)
-    # the argmax offset counts the window entries before the first hit
-    # (argmax over a middle axis of length 2 or 3 is slow in numpy)
-    offset = np.zeros(out.shape, dtype=np.min_scalar_type(window))
+    # slot by slot: a reduction over a middle axis of length 2 or 3 is slow in numpy
+    out = win[:, :, 0].copy()
+    for a in range(1, window):
+        np.maximum(out, win[:, :, a], out=out)
+    # the offset counts the window entries before the first hit
+    offset = np.zeros(out.shape, dtype=np.min_scalar_type(window - 1))
     missed = np.ones(out.shape, dtype=bool)
     for a in range(window - 1):
         col = win[:, :, a]
         missed &= (col != out) & (col == col)
         offset += missed
-    argmax = offset + (np.arange(t_out) * window)[None, :, None]
     if single:
-        return out[0], argmax[0]
-    return out, argmax
+        return out[0], offset[0]
+    return out, offset
 
 
-def maxpool1d_backward(grad_out: np.ndarray, argmax: np.ndarray, input_len: int,
+def maxpool1d_backward(grad_out: np.ndarray, offsets: np.ndarray, input_len: int,
                        stride: int) -> np.ndarray:
-    """Scatter each pooled gradient back to its argmax, which must lie in its
-    window of ``maxpool1d_forward``, rows j*stride to (j+1)*stride - 1 (else
-    ShapeMismatch): each input row wins at most once, so it is one assignment.
+    """Route each pooled gradient to the input row ``maxpool1d_forward``'s
+    offset selects in its window, rows j*stride to (j+1)*stride - 1; an
+    offset outside 0 to stride - 1 is refused (ShapeMismatch).  Each input
+    row wins at most once, so slot by slot it is one masked copy of the
+    gradient's bits; a slot its window did not select gets +0.0, whatever
+    the gradient (inf and NaN too), and so do the rows past the last
+    window.  That is what scattering the gradient into zeros gives.
     """
     gb, single = _as_batch(grad_out)
-    ab, _ = _as_batch(argmax)
-    if gb.shape != ab.shape:
-        raise ShapeMismatch(f"grad_out {grad_out.shape} != argmax {argmax.shape}")
+    ob, _ = _as_batch(offsets)
+    if gb.shape != ob.shape:
+        raise ShapeMismatch(f"grad_out {grad_out.shape} != offsets {offsets.shape}")
     b, t_out, f = gb.shape
     if stride * t_out > input_len:
         raise ShapeMismatch(f"{t_out} windows of {stride} do not fit {input_len} rows")
-    grad_x = np.zeros((b, input_len, f), dtype=gb.dtype)
-    offsets = ab - (np.arange(t_out) * stride)[None, :, None]
-    if t_out and (offsets.min() < 0 or offsets.max() >= stride):
-        raise ShapeMismatch("argmax outside its pooling window")
+    if t_out and (ob.min() < 0 or ob.max() >= stride):
+        raise ShapeMismatch("offset outside its pooling window")
+    grad_x = np.empty((b, input_len, f), dtype=gb.dtype)
+    grad_x[:, stride * t_out:] = 0
     view = grad_x[:, :stride * t_out, :].reshape(b, t_out, stride, f)
-    np.put_along_axis(view, offsets[:, :, None, :], gb[:, :, None, :], axis=2)
+    # slot a is the gradient's bits ANDed with a mask of all ones where the
+    # offset is a and all zeros elsewhere: an exact copy or +0.0
+    uint = np.dtype(f"u{gb.dtype.itemsize}")
+    bits = gb.view(uint)
+    mask = np.empty(gb.shape, dtype=uint)
+    for a in range(stride):
+        np.equal(ob, a, out=mask, casting="unsafe")
+        np.negative(mask, out=mask)
+        np.bitwise_and(bits, mask, out=view[:, :, a].view(uint))
     return grad_x[0] if single else grad_x
 
 
@@ -405,11 +460,13 @@ def dense_rows_backward(cache, grad_out: np.ndarray):
 
 @dataclass
 class LSTMCellParams:
-    """Gate parameters in the fused layout every step multiplies by.
+    """Gate parameters, each in the layout the step reads it in.
 
-    W_x is (input, 4*hidden), W_h is (hidden, 4*hidden), and b_x, b_h are
-    (4*hidden,).  Column block k*hidden:(k+1)*hidden belongs to gate
-    GATE_ORDER[k]; the two bias vectors enter each gate as a sum.
+    W_x is (input, 4*hidden): column block k*hidden:(k+1)*hidden belongs to
+    gate GATE_ORDER[k].  W_h is gate-major, (4, hidden, hidden): W_h[k] is
+    gate k's recurrent block, so ``fused_w_h`` is W_h in W_x's column
+    blocks.  b_x and b_h are (4*hidden,), in the same blocks; the two enter
+    each gate as a sum.
     """
 
     W_x: np.ndarray
@@ -421,7 +478,7 @@ class LSTMCellParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.W_h.shape[0]
+        return self.W_h.shape[-1]
 
     @property
     def input_size(self) -> int:
@@ -429,31 +486,80 @@ class LSTMCellParams:
 
     def check_shapes(self):
         h = self.hidden_size
-        expected = {"W_x": (self.input_size, 4 * h), "W_h": (h, 4 * h),
+        expected = {"W_x": (self.input_size, 4 * h), "W_h": (4, h, h),
                     "b_x": (4 * h,), "b_h": (4 * h,)}
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ShapeMismatch(f"{name} shape {getattr(self, name).shape} != {shape}")
 
+    def fused_w_h(self, dtype) -> np.ndarray:
+        """W_h as one new (hidden, 4*hidden) matrix in ``dtype``, column block
+        k gate k's block."""
+        h = self.hidden_size
+        fused = np.empty((h, 4 * h), dtype=dtype)
+        fused.reshape(h, 4, h)[...] = self.W_h.transpose(1, 0, 2)
+        return fused
+
     @staticmethod
     def zeros(input_size: int, hidden_size: int, dtype=np.float64) -> "LSTMCellParams":
         g = 4 * hidden_size
         return LSTMCellParams(W_x=np.zeros((input_size, g), dtype=dtype),
-                              W_h=np.zeros((hidden_size, g), dtype=dtype),
+                              W_h=np.zeros((4, hidden_size, hidden_size), dtype=dtype),
                               b_x=np.zeros(g, dtype=dtype), b_h=np.zeros(g, dtype=dtype))
 
 
-def _step_operands(params: LSTMCellParams, dtype, lead: tuple[int, ...], gemm: bool = False):
-    """What every step of batch shape ``lead`` multiplies by and adds.
+# A one-row step multiplies h_prev by W_h's gate blocks, one GEMV each,
+# where the hidden size is a multiple of GATE_BLOCK_WIDTH and W_h holds at
+# least GATE_BLOCK_MIN_BYTES; elsewhere it multiplies the fused (H, 4H)
+# matrix, assembled once per call.  At those widths each block's GEMV sums
+# in the order the one GEMV over the fused matrix sums that column block
+# (OpenBLAS 0.3, float32 and float64; at H = 4 or 100 in float32 it does
+# not).  A smaller W_h is cheap to assemble and faster in one GEMV.  A
+# larger one is read where it is stored, and the blocks go in reverse
+# order on every other step, so the blocks multiplied last are still in L2
+# when the next step starts: a GEMV over a whole W_h larger than L2 reads
+# all of it from beyond L2 at every step.
+GATE_BLOCK_WIDTH = 16
+GATE_BLOCK_MIN_BYTES = 1 << 20
+_GATE_ORDERS = ((0, 1, 2, 3), (3, 2, 1, 0))  # i f g o, then o g f i
 
-    Returns (wh, hw, hw_gates, bias, scale, shift, gemm): the stored W_h in
-    ``dtype``, a (*lead, 4H) buffer for h_prev W_h with its gate-major view
-    (4, *lead, H), and bias (b_x + b_h), scale and shift, gate-major at the
-    full step shape: element-wise ops against a broadcast operand run
-    several times slower than against a contiguous one of the same shape.
-    ``gemm`` is ``_matmul``'s, for h_prev W_h.
+
+def _recurrent_operand(params: LSTMCellParams, dtype, gemv: bool) -> np.ndarray:
+    """W_h as the steps multiply by it, C-ordered in ``dtype``: the stored
+    (4, H, H) gate blocks (not copied if already so) for a GEMV step whose
+    width and size pass the gate-block guard, else the fused (H, 4H)
+    matrix, assembled once for all steps."""
+    hsz = params.hidden_size
+    if (gemv and hsz % GATE_BLOCK_WIDTH == 0
+            and params.W_h.size * np.dtype(dtype).itemsize >= GATE_BLOCK_MIN_BYTES):
+        return np.ascontiguousarray(params.W_h, dtype=dtype)
+    return params.fused_w_h(dtype)
+
+
+class _StepOperands(NamedTuple):
+    """What every step of one batch shape multiplies by and adds, and its
+    buffers."""
+
+    products: tuple | None  # per step parity: (W_h gate block, hw gate block) pairs, in order
+    wh: np.ndarray  # W_h as ``_recurrent_operand`` gives it
+    hw: np.ndarray  # (*lead, 4H) buffer for h_prev W_h
+    hw_gates: np.ndarray  # hw viewed gate-major, (4, *lead, H)
+    bias: np.ndarray  # b_x + b_h, gate-major at the full step shape
+    scale: np.ndarray
+    shift: np.ndarray
+    min_rows: int  # ``_matmul``'s, for h_prev W_h
+    ig: np.ndarray  # (*lead, H) buffer for i * g
+
+
+def _step_operands(params: LSTMCellParams, wh: np.ndarray, lead: tuple[int, ...],
+                   min_rows: int = 1) -> _StepOperands:
+    """The operands of every step of batch shape ``lead``, in wh's dtype.
+
+    bias (b_x + b_h), scale and shift are gate-major at the full step shape:
+    element-wise ops against a broadcast operand run several times slower
+    than against a contiguous one of the same shape.
     """
-    wh = params.W_h.astype(dtype, copy=False)
+    dtype = wh.dtype
     hsz = params.hidden_size
     shape = (4, *lead, hsz)
     bias = np.empty(shape, dtype=dtype)
@@ -467,7 +573,19 @@ def _step_operands(params: LSTMCellParams, dtype, lead: tuple[int, ...], gemm: b
     shift[2] = -0.0
     hw = np.empty((*lead, 4 * hsz), dtype=dtype)
     hw_gates = np.moveaxis(hw.reshape(*lead, 4, hsz), -2, 0)
-    return wh, hw, hw_gates, bias, scale, shift, gemm
+    products = None
+    if wh.ndim == 3:
+        products = tuple(tuple((wh[k], hw_gates[k]) for k in order) for order in _GATE_ORDERS)
+    return _StepOperands(products, wh, hw, hw_gates, bias, scale, shift, min_rows,
+                         np.empty((*lead, hsz), dtype=dtype))
+
+
+def _first_rows(operands: _StepOperands, m: int) -> _StepOperands:
+    """The operands of a step over the first ``m`` rows of ``operands``'
+    batch: views of their first m rows, each gate block still contiguous."""
+    o = operands
+    return o._replace(hw=o.hw[:m], hw_gates=o.hw_gates[:, :m], bias=o.bias[:, :m],
+                      scale=o.scale[:, :m], shift=o.shift[:, :m], ig=o.ig[:m])
 
 
 def _gate_major(rows: np.ndarray) -> np.ndarray:
@@ -475,7 +593,7 @@ def _gate_major(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(len(rows), 4, -1).transpose(1, 0, 2)
 
 
-def _lstm_step(xw, h_prev, c_prev, operands, act, c, tc, h):
+def _lstm_step(xw, h_prev, c_prev, operands: _StepOperands, act, c, tc, h, parity: int = 0):
     """The gate math of one step, for any leading batch shape, given the
     input already projected, x_t W_x, as xw (4, *batch, H), gate k's
     columns in xw[k]:
@@ -487,27 +605,35 @@ def _lstm_step(xw, h_prev, c_prev, operands, act, c, tc, h):
 
     ``operands`` come from ``_step_operands``.  Writes the gate activations
     into ``act`` (4, *batch, H), each gate one contiguous (*batch, H) block,
-    and c, tanh(c) and h into the last three arguments.  h_prev W_h is the
-    GEMM of the fused layout; one strided add moves it gate-major.  All
-    four gates then go through one tanh, act = scale * tanh(scale * act) +
-    shift, which is ``sigmoid`` on i, f and o and tanh on g.  Each value
-    comes from the same operations on the same operands, in the same order,
-    as with the gates in the fused column blocks, so it is bit for bit the
-    same.  (A per-gate GEMM on (H, H) blocks of W_h is not: BLAS sums the
-    narrower product in another order for some shapes.)
+    and c, tanh(c) and h into the last three arguments.  h_prev W_h is
+    either four GEMVs, one per stored gate block, in the order of
+    ``parity`` (i f g o on even steps, o g f i on odd ones), or the GEMM of
+    the fused matrix, whose result one strided add moves gate-major; the
+    two give the same bits where ``_recurrent_operand`` picks the blocks.
+    All four gates then go through one tanh, act = scale * tanh(scale *
+    act) + shift, which is ``sigmoid`` on i, f and o and tanh on g.  Each
+    value comes from the same operations on the same operands, in the same
+    order, as with the gates in the fused column blocks, so it is bit for
+    bit the same.
     """
-    wh, hw, hw_gates, bias, scale, shift, gemm = operands
-    _matmul(h_prev, wh, hw, gemm)
+    products, wh, hw, hw_gates, bias, scale, shift, min_rows, ig = operands
+    if products is None:
+        _matmul(h_prev, wh, hw, min_rows)
+    else:
+        for block, out in products[parity]:
+            np.matmul(h_prev, block, out=out)
     np.add(xw, hw_gates, out=act)
     act += bias
     act *= scale
     np.tanh(act, out=act)
     act *= scale
     act += shift
-    np.multiply(act[1], c_prev, out=c)
-    c += act[0] * act[2]
+    i, f, g, o = act
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=ig)
+    c += ig
     np.tanh(c, out=tc)
-    np.multiply(act[3], tc, out=h)
+    np.multiply(o, tc, out=h)
 
 
 def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
@@ -527,7 +653,8 @@ def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     xw = np.moveaxis((x_t @ params.W_x).reshape(*lead, 4, hsz), -2, 0)
     act = np.empty(xw.shape, dtype=xw.dtype)
     c, tc, h_t = (np.empty(h_prev.shape, dtype=xw.dtype) for _ in range(3))
-    _lstm_step(xw, h_prev, c_prev, _step_operands(params, xw.dtype, lead), act, c, tc, h_t)
+    wh = _recurrent_operand(params, xw.dtype, gemv=math.prod(lead) == 1)
+    _lstm_step(xw, h_prev, c_prev, _step_operands(params, wh, lead), act, c, tc, h_t)
     i, f, g, o = act
     cache = (x_t, h_prev, c_prev, i, f, g, o, tc)
     return h_t, c, cache
@@ -565,6 +692,24 @@ def _packed_steps(lengths) -> tuple[np.ndarray, int, list[tuple[int, int, int]]]
     return sample, n0, list(zip(starts, ends, prevs))
 
 
+def _step_views(xw, acts, hs, cs, tcs, n0: int, steps):
+    """Per step of ``_packed_steps``: (x_t W_x gate-major, act, h_prev,
+    c_prev, c, tanh(c), h), views of ``lstm_sequence``'s packed arrays.
+
+    With one sample of nonzero length every step is one row, h_prev the row
+    before h; its views come from iterating reshaped arrays, with no
+    Python-level slicing per step.
+    """
+    n, hsz = tcs.shape
+    if n0 == 1:
+        hs1, cs1 = hs[:, None], cs[:, None]
+        return zip(xw.reshape(n, 4, 1, hsz), acts.reshape(n, 4, 1, hsz), hs1[:-1], cs1[:-1],
+                   cs1[1:], tcs[:, None], hs1[1:])
+    return ((_gate_major(xw[start:end]), acts[start * 4 * hsz:end * 4 * hsz].reshape(4, -1, hsz),
+             hs[prev:prev + end - start], cs[prev:prev + end - start], cs[n0 + start:n0 + end],
+             tcs[start:end], hs[n0 + start:n0 + end]) for start, end, prev in steps)
+
+
 def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
     """Run the cell over each sequence from the zero state; returns
     (h_seq, cache).
@@ -600,7 +745,7 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
     if d != params.input_size:
         raise ShapeMismatch(f"input dim {d} != {params.input_size}")
     _, n0, steps = _packed_steps(lengths)
-    gemm = len(lengths) > 1
+    min_rows = 2 if len(lengths) > 1 else 1
     hsz = params.hidden_size
     dtype = xp.dtype
     n = len(xp)
@@ -609,18 +754,18 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
     hs[:n0], cs[:n0] = 0, 0
 
     xw = np.empty((n, 4 * hsz), dtype=dtype)
-    _matmul(xp, params.W_x.astype(dtype, copy=False), xw, gemm)
+    _matmul(xp, params.W_x.astype(dtype, copy=False), xw, min_rows)
     acts = np.empty(n * 4 * hsz, dtype=dtype)
     tcs = np.empty((n, hsz), dtype=dtype)
-    live = 0
-    for start, end, prev in steps:
-        m = end - start
-        if m != live:
-            operands = _step_operands(params, dtype, (m,), gemm)
-            live = m
-        act = acts[start * 4 * hsz:end * 4 * hsz].reshape(4, m, hsz)
-        _lstm_step(_gate_major(xw[start:end]), hs[prev:prev + m], cs[prev:prev + m], operands,
-                   act, cs[n0 + start:n0 + end], tcs[start:end], hs[n0 + start:n0 + end])
+    full = _step_operands(params, _recurrent_operand(params, dtype, gemv=min_rows == 1), (n0,),
+                          min_rows)
+    operands, live = full, n0
+    for step, (xw_t, act, h_prev, c_prev, c, tc, h) in enumerate(
+            _step_views(xw, acts, hs, cs, tcs, n0, steps)):
+        if len(h) != live:
+            live = len(h)
+            operands = _first_rows(full, live)
+        _lstm_step(xw_t, h_prev, c_prev, operands, act, c, tc, h, step & 1)
 
     cache = (x, hs, cs, acts, tcs, lengths, single)
     h_seq = hs[n0:]
@@ -636,21 +781,23 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
 
     Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_x has the
     shape of ``lstm_sequence``'s x (packed if it was), grad_params is a
-    dict keyed like LSTMCellParams fields, in the same fused layout, and
+    dict keyed like LSTMCellParams fields, each in its field's layout, and
     grad_h0, grad_c0 (B, H) are the gradients at the zero start state.
     The loop carries only the recurrent gradient over each step's live
     rows: each gate's gradient is formed from the contiguous gate blocks of
     the cache and written into its column block of the fused (n_t, 4H)
-    gradient rows, so the recurrent GEMM and, after the loop, grad_x and
-    the weight gradients (one GEMM each over the packed rows) and the bias
-    sum run on the fused layout and on live rows only.
+    gradient rows, so the recurrent GEMM (with W_h's transpose, assembled
+    fused once per call) and, after the loop, grad_x and the weight
+    gradients (one GEMM each over the packed rows) and the bias sum run on
+    the fused layout and on live rows only; W_h's gradient is then
+    rearranged gate-major.
     """
     x, hs, cs, acts, tcs, lengths, single = cache
     hsz = hs.shape[1]
     g4 = 4 * hsz
     sample, n0, steps = _packed_steps(lengths)
     n = len(tcs)
-    gemm = len(lengths) > 1
+    min_rows = 2 if len(lengths) > 1 else 1
     if single is None:
         if grad_h_seq.shape != (n, hsz):
             raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} != packed ({n}, {hsz})")
@@ -666,7 +813,7 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
         xp = xb.transpose(1, 0, 2).reshape(n, d)
     dtype = xp.dtype
     wx_t = params.W_x.astype(dtype, copy=False).T
-    wh_t = np.ascontiguousarray(params.W_h.T, dtype=dtype)
+    wh_t = np.ascontiguousarray(params.W_h.transpose(0, 2, 1), dtype=dtype).reshape(g4, hsz)
 
     d_gates = np.empty((n, g4), dtype=dtype)
     dh, dc = (np.zeros((n0, hsz), dtype=dtype) for _ in range(2))
@@ -697,16 +844,18 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
         np.multiply(dcc, act[0], out=first[2])
         np.multiply(dhm, tc, out=first[3])
         np.multiply(first, deriv, out=_gate_major(d_gates[start:end]))
-        _matmul(d_gates[start:end], wh_t, dhm, gemm)
+        _matmul(d_gates[start:end], wh_t, dhm, min_rows)
         np.multiply(dcc, act[1], out=dcm)
 
     grad_x = np.empty((n, wx_t.shape[1]), dtype=dtype)
-    _matmul(d_gates, wx_t, grad_x, gemm)
+    _matmul(d_gates, wx_t, grad_x, min_rows)
     # each packed row's h_prev: its sample's row of the step before, or a zero start row
     h_prev = np.concatenate([hs[:0]] + [hs[prev:prev + end - start] for start, end, prev in steps])
     # the two bias vectors enter the gates as a sum, so they share a gradient
     gb = d_gates.sum(axis=0)  # (4H,)
-    grads = {"W_x": xp.T @ d_gates, "W_h": h_prev.T @ d_gates, "b_x": gb, "b_h": gb.copy()}
+    grad_wh = (h_prev.T @ d_gates).reshape(hsz, 4, hsz).transpose(1, 0, 2)
+    grads = {"W_x": xp.T @ d_gates, "W_h": np.ascontiguousarray(grad_wh),
+             "b_x": gb, "b_h": gb.copy()}
     grad_h0, grad_c0 = (np.zeros((len(lengths), hsz), dtype=dtype) for _ in range(2))
     grad_h0[sample[:n0]], grad_c0[sample[:n0]] = dh, dc
     if single is not None:

@@ -108,8 +108,9 @@ def test_unsupported_version_raises(tmp_path):
     save_checkpoint(net, path)
     raw = bytearray(path.read_bytes())
     # version 2 kept the header outside the checksum; version 3 networks
-    # stepped their LSTMs over every pooled row
-    for version in (2, 3, 99):
+    # stepped their LSTMs over every pooled row; version 4 stored each W_h
+    # as one (H, 4H) matrix
+    for version in (2, 3, 4, 99):
         raw[13] = version  # version field follows the 13-byte magic
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch, match=f"version {version}"):
@@ -152,7 +153,7 @@ def test_header_is_config_seed_and_train_state_only(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path, train_state=TrainState(epoch=2, adam=AdamState.init(net.params)))
     version, header, payload = frame_parts(path.read_bytes(), MAGIC)
-    assert version == 4
+    assert version == 5
     assert sorted(header) == ["config", "seed", "train_state"]
     assert header["train_state"] == {"epoch": 2, "t": 0}
     assert len(payload) == 3 * 8 * sum(p.size for p in net.params.values())

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from aslchamp.checkpoint import MAGIC
 from aslchamp.dataset_io import read_dataset
-from conftest import rewrite_dataset
+from conftest import frame, frame_parts, rewrite_dataset
 
 GEN_MINI = ["gen-data", "--classes", "COFFEE", "TEA", "MILK",
             "--signers", "4", "--reps", "2", "--duration", "1.5"]
@@ -229,6 +230,18 @@ def test_recognize_version_1_file_is_data_error(workspace, tmp_path):
     r = run_cli("recognize", "--ckpt", workspace["ckpt"], "--sample", old)
     assert r.returncode == 4
     assert "gen-data" in r.stderr
+
+
+def test_recognize_with_a_version_4_checkpoint_is_runtime_error(workspace, tmp_path):
+    # the payload of a version 4 file has the same size, W_h as (H, 4H), so
+    # only the version tells them apart; the checksum is correct
+    version, header, payload = frame_parts(workspace["ckpt"].read_bytes(), MAGIC)
+    assert version == 5
+    old = tmp_path / "v4.ckpt"
+    old.write_bytes(frame(MAGIC, 4, header, payload))
+    r = run_cli("recognize", "--ckpt", old, "--sample", workspace["data"])
+    assert r.returncode == 3
+    assert "VersionMismatch" in r.stderr and "version 4" in r.stderr
 
 
 def _version_1_file(path):

@@ -58,7 +58,8 @@ def conv_oracle(x, kernels, bias):
 
 
 def pool_oracle(x, window):
-    """Non-overlapping windows, rows past the last whole window dropped."""
+    """Non-overlapping windows, rows past the last whole window dropped;
+    returns the maxima and each one's offset in its window."""
     t, f_count = x.shape
     t_out = t // window
     out = np.empty((t_out, f_count))
@@ -71,7 +72,7 @@ def pool_oracle(x, window):
                 v = x[i * window + w, f]
                 if v > best:  # strict: first index wins ties
                     best = v
-                    best_idx = i * window + w
+                    best_idx = w
             out[i, f] = best
             arg[i, f] = best_idx
     return out, arg
@@ -79,8 +80,8 @@ def pool_oracle(x, window):
 
 def lstm_cell_oracle(x_t, h_prev, c_prev, params):
     """Scalar-loop implementation of the gate equations; gate k reads column
-    block k of the fused arrays."""
-    h_size = params.W_h.shape[0]
+    block k of W_x, b_x and b_h and block k of the gate-major W_h."""
+    h_size = params.W_h.shape[-1]
     d = params.W_x.shape[0]
 
     def gate(k, row, squash):
@@ -89,7 +90,7 @@ def lstm_cell_oracle(x_t, h_prev, c_prev, params):
         for col in range(d):
             acc += float(params.W_x[col, j]) * float(x_t[col])
         for col in range(h_size):
-            acc += float(params.W_h[col, j]) * float(h_prev[col])
+            acc += float(params.W_h[k, col, row]) * float(h_prev[col])
         return squash(acc)
 
     def sig(z):
@@ -109,15 +110,27 @@ def lstm_cell_oracle(x_t, h_prev, c_prev, params):
 
 def random_lstm_params(rng, d, h, scale=0.5) -> LSTMCellParams:
     """Draws per gate (i, f, g, o) an input matrix (h, d) each, then a
-    recurrent matrix (h, h) each, then the two bias vectors (h,) each, and
-    packs every family into its fused column blocks."""
+    recurrent matrix (h, h) each, then the two bias vectors (h,) each; packs
+    the input matrices and biases into their fused column blocks and
+    stacks the recurrent ones, transposed, gate-major."""
     shapes = {"W_x": (h, d), "W_h": (h, h), "b_x": (h,), "b_h": (h,)}
     drawn = {name: [rng.standard_normal(shape) * scale for _ in LSTMCellParams.GATE_ORDER]
              for name, shape in shapes.items()}
     return LSTMCellParams(
         W_x=np.ascontiguousarray(np.concatenate(drawn["W_x"]).T),
-        W_h=np.ascontiguousarray(np.concatenate(drawn["W_h"]).T),
+        W_h=np.ascontiguousarray(np.stack([w.T for w in drawn["W_h"]])),
         b_x=np.concatenate(drawn["b_x"]), b_h=np.concatenate(drawn["b_h"]))
+
+
+def fused(w_h):
+    """A gate-major (4, H, H) W_h as one (H, 4H) matrix, gate k in column
+    block k."""
+    return np.ascontiguousarray(np.concatenate(list(w_h), axis=1))
+
+
+def gate_major(w):
+    """The inverse of ``fused``."""
+    return np.stack(np.split(w, 4, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +260,24 @@ def test_conv_batched_matches_per_sample(rng):
         np.testing.assert_array_equal(batched[b], conv1d_forward(x[b], kernels, bias))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f, d", [(32, 306), (16, 32), (16, 306), (512, 306), (256, 512)])
+def test_conv_rows_do_not_depend_on_how_many_rows_are_multiplied(dtype, f, d):
+    # the kernels are multiplied in place, a transposed GEMM operand; OpenBLAS
+    # sums a small product with one in another order (at 1/16 widths, below
+    # 16 to 30 rows), so a few rows, or one ragged sample, must come out as
+    # the same rows of a long input do
+    rng = np.random.default_rng(f + d)
+    kernels = (rng.standard_normal((f, 3, d)) * 0.1).astype(dtype)
+    bias = rng.standard_normal(f).astype(dtype)
+    x = rng.standard_normal((64, d)).astype(dtype)
+    full = conv1d_forward(x, kernels, bias)
+    for t in (3, 4, 5, 8, 13, 20, 31):
+        np.testing.assert_array_equal(conv1d_forward(x[:t], kernels, bias), full[:t - 2])
+        np.testing.assert_array_equal(ops.conv1d_ragged_forward([x[:t]], kernels, bias, 64)[0, :t - 2],
+                                      full[:t - 2])
+
+
 def test_conv_shape_errors(rng):
     x = rng.standard_normal((5, 3))
     with pytest.raises(ShapeMismatch):
@@ -296,13 +327,13 @@ def test_pool_simple_case():
     x = np.array([[1.0], [3.0], [2.0], [5.0]])
     out, arg = maxpool1d_forward(x, 2, 2)
     np.testing.assert_array_equal(out, [[3.0], [5.0]])
-    np.testing.assert_array_equal(arg, [[1], [3]])
+    np.testing.assert_array_equal(arg, [[1], [1]])  # rows 1 and 3
 
 
 def test_pool_constant_input_ties_to_first_index():
     x = np.ones((6, 2))
     out, arg = maxpool1d_forward(x, 2, 2)
-    np.testing.assert_array_equal(arg[:, 0], [0, 2, 4])
+    np.testing.assert_array_equal(arg[:, 0], [0, 0, 0])  # rows 0, 2 and 4
     grad = maxpool1d_backward(np.ones_like(out), arg, 6, stride=2)
     np.testing.assert_array_equal(grad[:, 0], [1, 0, 1, 0, 1, 0])
 
@@ -331,7 +362,7 @@ def test_pool_non_overlapping_matches_oracle_with_ties(rng, window):
         np.testing.assert_array_equal(arg, want_arg)
     batch = rng.integers(-2, 3, size=(4, 13, 5)).astype(np.float32)
     out, arg = maxpool1d_forward(batch, window, window)
-    assert out.dtype == np.float32 and arg.dtype == np.intp
+    assert out.dtype == np.float32 and arg.dtype == np.uint8
     for b in range(4):
         want, want_arg = pool_oracle(batch[b], window)
         np.testing.assert_array_equal(out[b], want)
@@ -342,7 +373,7 @@ def test_pool_non_overlapping_reports_first_nan_like_argmax():
     x = np.array([[1.0], [np.nan], [np.nan], [0.0], [2.0], [np.nan]])
     out, arg = maxpool1d_forward(x, 3, 3)
     assert np.isnan(out).all()
-    np.testing.assert_array_equal(arg[:, 0], [1, 5])
+    np.testing.assert_array_equal(arg[:, 0], [1, 2])  # rows 1 and 5
 
 
 def test_pool_backward_conserves_gradient_mass(rng):
@@ -359,6 +390,19 @@ def test_pool_window_validation(rng):
         maxpool1d_forward(rng.standard_normal((3, 2)), 4, 4)
 
 
+def test_pool_backward_gives_unselected_slots_plus_zero_whatever_the_gradient():
+    x = np.array([[1.0, 0.0], [3.0, -1.0], [2.0, 5.0], [5.0, 4.0], [9.0, 9.0]])
+    _, offsets = maxpool1d_forward(x, 2, 2)
+    np.testing.assert_array_equal(offsets, [[1, 0], [1, 0]])
+    grad = np.array([[np.inf, np.nan], [-2.0, -np.inf]])
+    gx = maxpool1d_backward(grad, offsets, 5, stride=2)
+    want = np.array([[0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [-2.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(gx, want)
+    # the unselected slots and the row past the last window: +0.0, even
+    # beside an inf or NaN gradient (a mask multiply would give NaN and -0.0)
+    assert not np.signbit(gx[want == 0.0]).any()
+
+
 def test_pool_refuses_overlapping_windows_and_stray_argmax(rng):
     x = rng.standard_normal((8, 2))
     for stride in (1, 3):
@@ -366,7 +410,8 @@ def test_pool_refuses_overlapping_windows_and_stray_argmax(rng):
             maxpool1d_forward(x, 2, stride)
     out, arg = maxpool1d_forward(x, 2, 2)
     grad_out = np.ones_like(out)
-    for bad in (arg + 2, arg - 2):  # each argmax moved into the next or previous window
+    # each offset moved into the next or previous window
+    for bad in (arg + 2, arg.astype(np.intp) - 2):
         with pytest.raises(ShapeMismatch):
             maxpool1d_backward(grad_out, bad, 8, stride=2)
     with pytest.raises(ShapeMismatch):  # four windows of 2 need 8 rows
@@ -562,7 +607,7 @@ def batch_major_lstm(x, params):
     acts, tcs)."""
     b, t, d = x.shape
     hsz = params.hidden_size
-    wx, wh = params.W_x.astype(x.dtype), params.W_h.astype(x.dtype)
+    wx, wh = params.W_x.astype(x.dtype), fused(params.W_h).astype(x.dtype)
     bias = (params.b_x + params.b_h).astype(x.dtype)
     xw = (x.reshape(b * t, d) @ wx).reshape(b, t, 4 * hsz)
     hs = [np.zeros((b, hsz), x.dtype)]
@@ -587,7 +632,7 @@ def batch_major_lstm_backward(x, params, fwd, grad_h_seq):
     _, hs, cs, acts, tcs = fwd
     b, t, _ = x.shape
     hsz = params.hidden_size
-    wx, wh = params.W_x.astype(x.dtype), params.W_h.astype(x.dtype)
+    wx, wh = params.W_x.astype(x.dtype), fused(params.W_h).astype(x.dtype)
     wh_t = np.ascontiguousarray(wh.T)
     dh = np.zeros((b, hsz), x.dtype)
     dc = np.zeros((b, hsz), x.dtype)
@@ -606,7 +651,7 @@ def batch_major_lstm_backward(x, params, fwd, grad_h_seq):
     grad_x = (dg2 @ wx.T).reshape(t, b, -1).transpose(1, 0, 2)
     gb = dg2.sum(axis=0)
     grads = {"W_x": x.transpose(1, 0, 2).reshape(t * b, -1).T @ dg2,
-             "W_h": np.stack(hs[:-1]).reshape(t * b, hsz).T @ dg2, "b_x": gb, "b_h": gb}
+             "W_h": gate_major(np.stack(hs[:-1]).reshape(t * b, hsz).T @ dg2), "b_x": gb, "b_h": gb}
     return grad_x, grads, dh, dc
 
 
@@ -655,6 +700,48 @@ def test_lstm_is_bit_identical_to_the_batch_major_step_at_published_width():
     x = rng.standard_normal((1, 4, 256)).astype(np.float32)
     h_seq, _ = lstm_sequence(x, params)
     assert_bits_equal(h_seq, batch_major_lstm(x, params)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d, h_size", [(256, 512), (512, 256)])
+def test_gate_block_gemvs_equal_the_fused_gemv_at_the_published_widths(dtype, d, h_size):
+    # lstm1 and lstm2 at B = 1: the step multiplies each stored gate block
+    # by h_prev, and each block's GEMV gives its column block of the fused
+    # GEMV bit for bit
+    rng = np.random.default_rng(h_size)
+    params = _cast_params(random_lstm_params(rng, d, h_size, scale=0.05), dtype)
+    wh = ops._recurrent_operand(params, dtype, gemv=True)
+    assert wh.shape == (4, h_size, h_size)  # the gate-block path is taken
+    fused_w = fused(params.W_h)
+    for _ in range(5):
+        h = np.tanh(rng.standard_normal((1, h_size))).astype(dtype)
+        assert_bits_equal(np.concatenate([h @ block for block in wh], axis=1), h @ fused_w)
+    x = rng.standard_normal((1, 6, d)).astype(dtype)
+    h_seq, _ = lstm_sequence(x[0], params, [6])
+    assert_bits_equal(h_seq, batch_major_lstm(x, params)[0][0])
+
+
+@pytest.mark.parametrize("h_size, dtype, blocks", [
+    (512, np.float32, True), (256, np.float32, True), (256, np.float64, True),
+    (528, np.float32, True),
+    (264, np.float32, False),  # 1.1 MB, but not a multiple of 16
+    (100, np.float32, False), (4, np.float32, False), (32, np.float32, False),  # under 1 MiB
+    (128, np.float64, False),
+])
+def test_gate_block_guard_is_pinned(h_size, dtype, blocks):
+    # a GEMV per gate block matched the fused GEMV at H a multiple of 16
+    # only (float32, 257 to 512), and not at H = 4 or 100; so the block
+    # path needs that width and a W_h too large for L2 to make it pay.  A
+    # width outside the guard runs the fused GEMV at B = 1 and equals the
+    # fused reference; B >= 2 always multiplies the fused matrix
+    rng = np.random.default_rng(h_size)
+    params = _cast_params(random_lstm_params(rng, 8, h_size, scale=0.05), dtype)
+    assert ops._recurrent_operand(params, dtype, gemv=True).ndim == (3 if blocks else 2)
+    assert ops._recurrent_operand(params, dtype, gemv=False).shape == (h_size, 4 * h_size)
+    if not blocks:
+        x = rng.standard_normal((1, 5, 8)).astype(dtype)
+        h_seq, _ = lstm_sequence(x[0], params, [5])
+        assert_bits_equal(h_seq, batch_major_lstm(x, params)[0][0])
 
 
 def test_pack_index_is_step_major_longest_first_ties_in_batch_order():

@@ -48,6 +48,21 @@ def test_signer_folds_script_holds_each_signer_out_once(tmp_path):
         assert sum(map(sum, tier["confusion"])) == 45  # 9 signs x 5 signers x 1 rep
 
 
+def test_bit_identity_script_finds_a_checkout_identical_to_itself():
+    # HEAD against HEAD at a small scale: the checkout is named as the parent
+    # directory, so no git history is needed
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "bit_identity.py"),
+                        "--parent", str(ROOT), "--small"],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stdout + r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()[1:-1]]
+    assert [row[0] for row in rows] == [
+        "published_f32_predict", "s16_f32_predict", "s16_f32_infer", "s16_f64_predict",
+        "s16_f64_infer", "trained_probs"]
+    assert all(row[1] == row[2] and row[3] == "same" for row in rows)
+    assert r.stdout.splitlines()[-1] == "0 of 6 differ"
+
+
 def test_benchmark_traced_names_resolve(monkeypatch):
     # perfbench/tracing.py wraps package functions by name; a name deleted
     # from the package would break every traced benchmark run.
