@@ -11,7 +11,8 @@ Parameters live in ``ChampNet.params`` under "<layer>/<name>" keys, each in
 the layout its kernel reads it in: a conv layer's kernels are ``K (F, k,
 D)``, multiplied in place; an LSTM layer is ``W_x (D, 4H)``, ``b_x (4H,)``
 and ``b_h (4H,)`` with gate column blocks i, f, g, o, and ``W_h (4, H,
-H)``, one (H, H) block per gate in the same order.  All inference (``forward``, ``predict``, the validation pass, and
+H)``, one (H, H) block per gate in the same order.  All inference
+(``forward``, ``predict``, the validation pass, and
 ``evaluation.evaluate``) runs through ``infer``.
 
 The network's input is t_max rows long, but a sample may hold fewer: a
