@@ -152,6 +152,10 @@ def _check_conv_shapes(x, kernels, bias):
 # OpenBLAS multiplies a product of at most this many output cells whose
 # right operand is transposed, as ``_taps`` is, in a small-matrix kernel
 # that sums in another order than its blocked GEMM.
+# Measured on OpenBLAS 0.3.31 (numpy's scipy-openblas wheel, DYNAMIC_ARCH),
+# which ran its SkylakeX kernels there; another core may switch over
+# elsewhere, and test_conv_rows_do_not_depend_on_how_many_rows_are_multiplied
+# fails if so.
 _SMALL_GEMM_CELLS = 1200
 
 
@@ -339,13 +343,12 @@ def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
 
 def maxpool1d_backward(grad_out: np.ndarray, offsets: np.ndarray, input_len: int,
                        stride: int) -> np.ndarray:
-    """Route each pooled gradient to the input row ``maxpool1d_forward``'s
-    offset selects in its window, rows j*stride to (j+1)*stride - 1; an
-    offset outside 0 to stride - 1 is refused (ShapeMismatch).  Each input
-    row wins at most once, so slot by slot it is one masked copy of the
-    gradient's bits; a slot its window did not select gets +0.0, whatever
-    the gradient (inf and NaN too), and so do the rows past the last
-    window.  That is what scattering the gradient into zeros gives.
+    """Scatter each pooled gradient into zeros, at the input row
+    ``maxpool1d_forward``'s offset selects in its window, rows j*stride to
+    (j+1)*stride - 1; an offset outside 0 to stride - 1 is refused
+    (ShapeMismatch).  Each input row wins at most once, so it is one
+    assignment; a slot its window did not select keeps +0.0, whatever the
+    gradient (inf and NaN too), and so do the rows past the last window.
     """
     gb, single = _as_batch(grad_out)
     ob, _ = _as_batch(offsets)
@@ -356,18 +359,9 @@ def maxpool1d_backward(grad_out: np.ndarray, offsets: np.ndarray, input_len: int
         raise ShapeMismatch(f"{t_out} windows of {stride} do not fit {input_len} rows")
     if t_out and (ob.min() < 0 or ob.max() >= stride):
         raise ShapeMismatch("offset outside its pooling window")
-    grad_x = np.empty((b, input_len, f), dtype=gb.dtype)
-    grad_x[:, stride * t_out:] = 0
+    grad_x = np.zeros((b, input_len, f), dtype=gb.dtype)
     view = grad_x[:, :stride * t_out, :].reshape(b, t_out, stride, f)
-    # slot a is the gradient's bits ANDed with a mask of all ones where the
-    # offset is a and all zeros elsewhere: an exact copy or +0.0
-    uint = np.dtype(f"u{gb.dtype.itemsize}")
-    bits = gb.view(uint)
-    mask = np.empty(gb.shape, dtype=uint)
-    for a in range(stride):
-        np.equal(ob, a, out=mask, casting="unsafe")
-        np.negative(mask, out=mask)
-        np.bitwise_and(bits, mask, out=view[:, :, a].view(uint))
+    np.put_along_axis(view, ob[:, :, None, :], gb[:, :, None, :], axis=2)
     return grad_x[0] if single else grad_x
 
 
@@ -509,29 +503,25 @@ class LSTMCellParams:
 
 
 # A one-row step multiplies h_prev by W_h's gate blocks, one GEMV each,
-# where the hidden size is a multiple of GATE_BLOCK_WIDTH and W_h holds at
-# least GATE_BLOCK_MIN_BYTES; elsewhere it multiplies the fused (H, 4H)
-# matrix, assembled once per call.  At those widths each block's GEMV sums
-# in the order the one GEMV over the fused matrix sums that column block
-# (OpenBLAS 0.3, float32 and float64; at H = 4 or 100 in float32 it does
-# not).  A smaller W_h is cheap to assemble and faster in one GEMV.  A
-# larger one is read where it is stored, and the blocks go in reverse
-# order on every other step, so the blocks multiplied last are still in L2
-# when the next step starts: a GEMV over a whole W_h larger than L2 reads
-# all of it from beyond L2 at every step.
+# where the hidden size is a multiple of GATE_BLOCK_WIDTH; elsewhere it
+# multiplies the fused (H, 4H) matrix, assembled once per call.  At those
+# widths each block's GEMV sums in the order the one GEMV over the fused
+# matrix sums that column block (OpenBLAS 0.3.31, every multiple of 16 up
+# to 1024, float32 and float64; at H = 4 or 100 in float32 it does not).
+# The blocks are read where they are stored, and go in reverse order on
+# every other step, so the blocks multiplied last are still in L2 when the
+# next step starts: a GEMV over a whole W_h larger than L2 reads all of it
+# from beyond L2 at every step.
 GATE_BLOCK_WIDTH = 16
-GATE_BLOCK_MIN_BYTES = 1 << 20
 _GATE_ORDERS = ((0, 1, 2, 3), (3, 2, 1, 0))  # i f g o, then o g f i
 
 
 def _recurrent_operand(params: LSTMCellParams, dtype, gemv: bool) -> np.ndarray:
     """W_h as the steps multiply by it, C-ordered in ``dtype``: the stored
     (4, H, H) gate blocks (not copied if already so) for a GEMV step whose
-    width and size pass the gate-block guard, else the fused (H, 4H)
-    matrix, assembled once for all steps."""
-    hsz = params.hidden_size
-    if (gemv and hsz % GATE_BLOCK_WIDTH == 0
-            and params.W_h.size * np.dtype(dtype).itemsize >= GATE_BLOCK_MIN_BYTES):
+    width passes the gate-block guard, else the fused (H, 4H) matrix,
+    assembled once for all steps."""
+    if gemv and params.hidden_size % GATE_BLOCK_WIDTH == 0:
         return np.ascontiguousarray(params.W_h, dtype=dtype)
     return params.fused_w_h(dtype)
 
@@ -628,12 +618,11 @@ def _lstm_step(xw, h_prev, c_prev, operands: _StepOperands, act, c, tc, h, parit
     np.tanh(act, out=act)
     act *= scale
     act += shift
-    i, f, g, o = act
-    np.multiply(f, c_prev, out=c)
-    np.multiply(i, g, out=ig)
+    np.multiply(act[1], c_prev, out=c)  # indexing: unpacking an ndarray costs more
+    np.multiply(act[0], act[2], out=ig)
     c += ig
     np.tanh(c, out=tc)
-    np.multiply(o, tc, out=h)
+    np.multiply(act[3], tc, out=h)
 
 
 def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,

@@ -37,6 +37,7 @@ def make_sample(n_frames: int = 5, label=gesture.COFFEE, rate: float = 72.0,
 SLOW_TESTS = frozenset({
     "test_desk_scale_accuracy", "test_direction_sensitivity", "test_cli_determinism",
     "test_lesson_sim_perfect_and_hopeless", "test_end_to_end_script_writes_its_artifacts",
+    "test_bit_identity_script_finds_a_checkout_identical_to_itself",
 })
 
 

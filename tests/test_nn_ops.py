@@ -723,25 +723,23 @@ def test_gate_block_gemvs_equal_the_fused_gemv_at_the_published_widths(dtype, d,
 
 @pytest.mark.parametrize("h_size, dtype, blocks", [
     (512, np.float32, True), (256, np.float32, True), (256, np.float64, True),
-    (528, np.float32, True),
-    (264, np.float32, False),  # 1.1 MB, but not a multiple of 16
-    (100, np.float32, False), (4, np.float32, False), (32, np.float32, False),  # under 1 MiB
-    (128, np.float64, False),
+    (528, np.float32, True), (32, np.float32, True), (128, np.float64, True),
+    (264, np.float32, False), (100, np.float32, False), (4, np.float32, False),
 ])
 def test_gate_block_guard_is_pinned(h_size, dtype, blocks):
     # a GEMV per gate block matched the fused GEMV at H a multiple of 16
-    # only (float32, 257 to 512), and not at H = 4 or 100; so the block
-    # path needs that width and a W_h too large for L2 to make it pay.  A
-    # width outside the guard runs the fused GEMV at B = 1 and equals the
-    # fused reference; B >= 2 always multiplies the fused matrix
+    # only (float32, 257 to 512), and not at H = 4 or 100, but at every
+    # multiple of 16 up to 1024 in float32 and float64; so the block path
+    # needs that width.  A width outside the guard runs the fused GEMV
+    # at B = 1; B >= 2 always multiplies the fused matrix; either way the
+    # sequence equals the fused reference
     rng = np.random.default_rng(h_size)
     params = _cast_params(random_lstm_params(rng, 8, h_size, scale=0.05), dtype)
     assert ops._recurrent_operand(params, dtype, gemv=True).ndim == (3 if blocks else 2)
     assert ops._recurrent_operand(params, dtype, gemv=False).shape == (h_size, 4 * h_size)
-    if not blocks:
-        x = rng.standard_normal((1, 5, 8)).astype(dtype)
-        h_seq, _ = lstm_sequence(x[0], params, [5])
-        assert_bits_equal(h_seq, batch_major_lstm(x, params)[0][0])
+    x = rng.standard_normal((1, 5, 8)).astype(dtype)
+    h_seq, _ = lstm_sequence(x[0], params, [5])
+    assert_bits_equal(h_seq, batch_major_lstm(x, params)[0][0])
 
 
 def test_pack_index_is_step_major_longest_first_ties_in_batch_order():
