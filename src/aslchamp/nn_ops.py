@@ -570,14 +570,6 @@ def _step_operands(params: LSTMCellParams, wh: np.ndarray, lead: tuple[int, ...]
                          np.empty((*lead, hsz), dtype=dtype))
 
 
-def _first_rows(operands: _StepOperands, m: int) -> _StepOperands:
-    """The operands of a step over the first ``m`` rows of ``operands``'
-    batch: views of their first m rows, each gate block still contiguous."""
-    o = operands
-    return o._replace(hw=o.hw[:m], hw_gates=o.hw_gates[:, :m], bias=o.bias[:, :m],
-                      scale=o.scale[:, :m], shift=o.shift[:, :m], ig=o.ig[:m])
-
-
 def _gate_major(rows: np.ndarray) -> np.ndarray:
     """(n, 4H) fused rows viewed gate-major, (4, n, H)."""
     return rows.reshape(len(rows), 4, -1).transpose(1, 0, 2)
@@ -746,14 +738,13 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
     _matmul(xp, params.W_x.astype(dtype, copy=False), xw, min_rows)
     acts = np.empty(n * 4 * hsz, dtype=dtype)
     tcs = np.empty((n, hsz), dtype=dtype)
-    full = _step_operands(params, _recurrent_operand(params, dtype, gemv=min_rows == 1), (n0,),
-                          min_rows)
-    operands, live = full, n0
+    wh = _recurrent_operand(params, dtype, gemv=min_rows == 1)
+    operands, live = _step_operands(params, wh, (n0,), min_rows), n0
     for step, (xw_t, act, h_prev, c_prev, c, tc, h) in enumerate(
             _step_views(xw, acts, hs, cs, tcs, n0, steps)):
         if len(h) != live:
             live = len(h)
-            operands = _first_rows(full, live)
+            operands = _step_operands(params, wh, (live,), min_rows)
         _lstm_step(xw_t, h_prev, c_prev, operands, act, c, tc, h, step & 1)
 
     cache = (x, hs, cs, acts, tcs, lengths, single)
