@@ -15,6 +15,10 @@ below in a child process that imports the package from that side's
   float32 and float64;
 * ``s16_f32_infer`` and ``s16_f64_infer``: ``infer`` of the attempts in
   chunks of three (B >= 2);
+* ``grad_f32/<name>`` and ``grad_f64/<name>``: each parameter gradient of
+  that network on one training batch of all the attempts, dropout drawn
+  from a fixed seed, through ``net._forward_full`` and
+  ``net._backward_full``, so a change can name the gradients it moved;
 * ``trained_probs``: the probabilities, on its training set, of a network
   trained for one epoch at the acceptance config (scale 1/16, t_max 651,
   float32), and its epoch loss.
@@ -22,7 +26,8 @@ below in a child process that imports the package from that side's
 Networks come from ``build_network`` with a drawn output layer (a zero one
 would make every distribution uniform).  The trained network is compared
 by what it computes, not by its parameters, so a change of weight layout
-does not hide a difference.  The inputs are generated on each side by that
+does not hide a difference; a gradient is stored in its parameter's layout,
+so such a change also shows as DIFFERS on the ``grad_*`` lines.  The inputs are generated on each side by that
 side's ``synth`` from fixed seeds.  ``--small`` builds the widest network
 at scale 1/8 instead and uses fewer attempts, for a quick check.
 
@@ -55,7 +60,7 @@ def side_hashes(small: bool) -> dict[str, str]:
 
     import numpy as np
 
-    from aslchamp import gesture, net, synth
+    from aslchamp import gesture, net, nn_ops, synth
 
     def digest(*arrays) -> str:
         h = hashlib.sha256()
@@ -93,6 +98,12 @@ def side_hashes(small: bool) -> dict[str, str]:
         feats = [gesture.encode_features(s)[:cfg.t_max].astype(cfg.np_dtype) for s in attempts]
         out[f"s16_{tag}_infer"] = digest(net.infer(small_net, (feats[i:i + 3] for i in
                                                                range(0, len(feats), 3))))
+        logits, _, cache = net._forward_full(small_net, feats, train=True,
+                                             rng=np.random.default_rng(SEED))
+        targets = np.arange(len(feats)) % len(names)
+        _, grad_logits = nn_ops.softmax_xent_batch(logits.astype(np.float64), targets)
+        grads = net._backward_full(small_net, cache, grad_logits)
+        out.update((f"grad_{tag}/{name}", digest(grads[name])) for name in small_net.params)
 
     cfg = net.NetConfig(dtype="float32", scale_factor=Fraction(1, 16), t_max=651)
     corpus = synth.generate_dataset(synth.DatasetSpec(signers=2 if small else 4,

@@ -22,8 +22,9 @@ returns views of the samples' own matrices, with no copy and no padding,
 and ``predict`` passes a sample unpadded; a (B, T, D) array is such a
 sequence too.  A sample's frames end at its last non-zero row: trailing
 all-zero rows (padding, or frames with both hands absent) count as
-padding.  The first conv multiplies only each sample's own rows and the
-conv stages skip the constant suffix, which changes no output bit.
+padding.  Each conv stage computes only the rows the layer above it
+reads, and the first multiplies only each sample's own rows among them,
+which changes no output bit.
 
 Both LSTMs step each sample only over the pooled rows its frames reach,
 ceil(n / pool) per conv + pool stage (``_stage_reach``), packed from lstm1
@@ -336,21 +337,11 @@ def _stage_reach(n: int, length: int, k: int, pool: int) -> int:
     return min(-(-n // pool), (length - k + 1) // pool)
 
 
-def _stage_input_len(n: int, length: int, k: int, pool: int) -> int:
-    """The input rows a conv + tanh + pool stage over ``length`` rows reads
-    when only its first ``n`` rows vary and every later row is one constant
-    row.
-
-    A conv window wholly inside the constant rows outputs one constant row,
-    and so do the tanh and the pool after it; the pool's offset there is 0,
-    the window's first row.  So the stage computes the pooled rows that can
-    differ (``_stage_reach``) plus one constant row, each equal to the
-    full-length stage's row bit for bit, and every pooled row past them
-    equals its last row.
-    """
-    t_pool = (length - k + 1) // pool
-    stored = min(_stage_reach(n, length, k, pool) + 1, t_pool)
-    return length if stored == t_pool else stored * pool + k - 1
+def _reach_back(rows: int, k: int, pool: int) -> int:
+    """The input rows of a conv + tanh + pool stage that its first ``rows``
+    pooled rows read: pooled row p reads conv rows p * pool to p * pool +
+    pool - 1, and conv row j input rows j to j + k - 1."""
+    return pool * rows + k - 1
 
 
 def _frames(x: np.ndarray) -> int:
@@ -370,42 +361,25 @@ def _lstm_lengths(cfg: NetConfig, frames: Sequence[int]) -> np.ndarray:
                      for n in frames], dtype=np.intp)
 
 
-def _repeat_last(x: np.ndarray, length: int) -> np.ndarray:
-    """``x`` (B, n, F) extended to ``length`` rows by repeating its last row."""
-    b, n, f = x.shape
-    if n == length:
-        return x
-    return np.concatenate([x, np.broadcast_to(x[:, -1:], (b, length - n, f))], axis=1)
-
-
-def _fold_tail(g: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` rows of ``g``, the last of them plus every later row.
-
-    The adjoint of ``_repeat_last``: rows that are copies of one row pass
-    their summed gradient back to it.
-    """
-    if g.shape[1] == n:
-        return g
-    out = g[:, :n].copy()
-    out[:, -1] += g[:, n:].sum(axis=1)
-    return out
-
-
 def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
                   rng: np.random.Generator | None):
     """Returns (logits, probs, cache).  The softmax is computed in float64.
 
     ``xs`` is a sequence of B (T_i, D) feature matrices with T_i <= t_max,
     or a (B, T, D) array; rows T_i to t_max count as zero, and so do a
-    sample's trailing all-zero rows (``_frames``).  Stage 1 multiplies each
-    sample's own rows only (``conv1d_ragged_forward``), both conv stages
-    skip the constant suffix (``_stage_input_len``), and both LSTMs step
-    each sample only over the pooled rows its frames reach, packed
+    sample's trailing all-zero rows (``_frames``).  Both LSTMs step each
+    sample only over the pooled rows its frames reach, packed
     (``nn_ops.pack_index``); its LSTM outputs after them are zero, and
     dense1 reads the (B, R, H2) outputs up to the batch's longest reach R
     only (``nn_ops.dense_rows_forward``), a row past a sample's own reach
-    adding an exact zero.  So the result equals that of the zero-padded
-    (B, t_max, D) batch bit for bit.
+    adding an exact zero.  So each conv stage computes only the rows above
+    it that are read (``_reach_back``): stage 2 the first R pooled rows (one
+    if R is 0) from the first P1 = pool * R + k - 1 of stage 1, and stage 1
+    those P1 from the first P1 * pool + k - 1 input rows.  As R is at most
+    ``pooled_len(2)``, P1 is at most ``pooled_len(1)``.  Stage 1 multiplies
+    each sample's own rows among them only (``conv1d_ragged_forward``), and
+    a sample's later rows are cut, as no computed row reads them.  So the
+    result equals that of the zero-padded (B, t_max, D) batch bit for bit.
     """
     cfg = net.config
     p = net.params
@@ -413,16 +387,15 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     k, pool = cfg.kernel_size, cfg.pool
 
     frames = [_frames(x) for x in xs]
-    xs = [x[:n] for x, n in zip(xs, frames)]
-    need1 = _stage_input_len(max(frames), cfg.t_max, k, pool)
+    lengths = _lstm_lengths(cfg, frames)
+    need1 = _reach_back(_reach_back(max(int(lengths.max()), 1), k, pool), k, pool)
+    xs = [x[:min(n, need1)] for x, n in zip(xs, frames)]
     t1 = conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1)
     np.tanh(t1, out=t1)
-    pool1, off1 = maxpool1d_forward(t1, pool, pool)
-    x2 = _repeat_last(pool1, _stage_input_len(pool1.shape[1], cfg.pooled_len(1), k, pool))
+    x2, off1 = maxpool1d_forward(t1, pool, pool)
     t2 = conv1d_forward(x2, p["conv2/K"], p["conv2/b"])
     np.tanh(t2, out=t2)
     pool2, off2 = maxpool1d_forward(t2, pool, pool)
-    lengths = _lstm_lengths(cfg, frames)
     packed = pack_index(lengths)
     h1, lstm1_cache = lstm_sequence(pool2[packed], _lstm(p, "lstm1"), lengths)
     h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"), lengths)
@@ -452,11 +425,10 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     dense1's input gradient is (B, R, H2), up to the batch's longest reach
     R, and its weight gradient is zero in the blocks of ``dense1/W`` past
     R.  The LSTM gradients run packed, over each sample's own pooled rows.
-    Rows stage 1 skipped are copies of its last stored rows, so their
-    gradients reach the stage summed into those rows (``_fold_tail``), and
-    conv1's kernel gradient sums each sample's own rows only
-    (``conv1d_ragged_backward``): the same sums as the full-length pass,
-    added in another order.
+    Stage 2 read stage 1's pooled rows whole, so conv2's input gradient is
+    theirs as it is, and conv1's kernel gradient sums each sample's own rows
+    that stage 1 read only (``conv1d_ragged_backward``): the same sums as
+    the full-length pass, less its zero terms, added in another order.
     """
     cfg = net.config
     p = net.params
@@ -481,7 +453,6 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     g = tanh_backward(cache["t2"], g)
     g, grads["conv2/K"], grads["conv2/b"] = conv1d_backward(
         cache["x2"], p["conv2/K"], g)
-    g = _fold_tail(g, cache["off1"].shape[1])
     g = maxpool1d_backward(g, cache["off1"], cache["t1"].shape[1], stride=cfg.pool)
     g = tanh_backward(cache["t1"], g)
     grads["conv1/K"], grads["conv1/b"] = conv1d_ragged_backward(cache["xs"], p["conv1/K"], g)

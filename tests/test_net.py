@@ -226,8 +226,11 @@ def test_end_to_end_parameter_gradients_match_finite_differences(rng):
 
 
 def ragged_dataset(lengths, feature_dim, seed=0):
+    """One sample of n random rows per length n; a length -n stands for n
+    all-zero rows, a capture with both hands absent."""
     rng = np.random.default_rng(seed)
-    feats = [0.5 * rng.standard_normal((n, feature_dim)) for n in lengths]
+    feats = [0.5 * rng.standard_normal((n, feature_dim)) if n >= 0 else np.zeros((-n, feature_dim))
+             for n in lengths]
     return EncodedDataset(features=feats, y=np.arange(len(lengths)) % 3)
 
 
@@ -249,8 +252,7 @@ def drawn_head_network(cfg, seed=9):
 
 @pytest.mark.parametrize("lengths", [(1, 6, 11), (1, 11, 32)])
 def test_end_to_end_gradients_on_a_ragged_padded_batch(lengths):
-    # conv1 multiplies each sample's own rows, the conv stages skip the
-    # suffix and fold its gradient
+    # conv1 multiplies each sample's own rows, stage 2 reads stage 1 whole
     cfg = length_cfg()
     net = drawn_head_network(cfg)
     data = ragged_dataset(lengths, cfg.feature_dim)
@@ -260,14 +262,16 @@ def test_end_to_end_gradients_on_a_ragged_padded_batch(lengths):
 
 
 @pytest.mark.parametrize("kernel_size, pool", [(3, 2), (5, 3), (2, 2), (3, 1)])
-@pytest.mark.parametrize("lengths", [(9,), (1,), (1, 9, 16), (40, 4, 2)])
+@pytest.mark.parametrize("lengths", [(9,), (1,), (1, 9, 16), (40, 4, 2),
+                                     # t_max 32: the stage-shape test's batches
+                                     (-12, 5), (30, 31, 32), (41, 3)])
 def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
     for dtype in ("float32", "float64"):
         cfg = length_cfg(dtype, kernel_size, pool)
         net = drawn_head_network(cfg)
         data = ragged_dataset(lengths, cfg.feature_dim)
         x = data.batch(range(len(lengths)), cfg.t_max, cfg.np_dtype)
-        assert [len(s) for s in x] == [min(cfg.t_max, n) for n in lengths]
+        assert [len(s) for s in x] == [min(cfg.t_max, abs(n)) for n in lengths]
         padded = zero_padded(x, cfg.t_max, cfg.np_dtype)
         _, probs, cache, grad_logits = _batch_loss(net, x, data.y)
         _, probs_padded, cache_padded, grad_logits_padded = _batch_loss(net, padded, data.y)
@@ -279,6 +283,29 @@ def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
             for key, want in grads_padded.items():
                 scale = max(float(np.abs(want).max()), 1e-300)
                 assert float(np.abs(grads[key] - want).max()) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("lengths, reach, stage2_rows", [
+    ((-12, 20), 5, 12),  # an all-zero sample beside one of 20 frames
+    ((649, 650, 651), 161, 324),  # up to t_max: the last pooled row's reach
+    ((700, 3), 161, 324),  # longer than t_max: cut by batch()
+    ((-12,), 0, 4),  # no frame at all: stage 2 still gives one row
+])
+def test_conv_stages_compute_only_the_rows_the_lstms_read(lengths, reach, stage2_rows):
+    # t_max 651, k 3, pool 2: 324 pooled rows after stage 1, 161 after stage
+    # 2; the longest reach R needs 2R + 2 rows of stage 1, and those 2 * (2R
+    # + 2) + 2 input rows
+    cfg = NetConfig(feature_dim=10, scale_factor=Fraction(1, 64), n_classes=3,
+                    classes=("A", "B", "C"), dtype="float32")
+    net = drawn_head_network(cfg)
+    data = ragged_dataset(lengths, cfg.feature_dim)
+    x = data.batch(range(len(lengths)), cfg.t_max, cfg.np_dtype)
+    _, _, cache = _forward_full(net, x, train=False, rng=None)
+    assert cache["off2"].shape[1] == max(reach, 1)  # pool2's rows
+    assert cache["x2"].shape[1] == stage2_rows
+    assert cache["t1"].shape[1] == 2 * stage2_rows
+    input_rows = 2 * stage2_rows + 2
+    assert [len(s) for s in cache["xs"]] == [min(n, input_rows) if n > 0 else 0 for n in lengths]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -674,8 +674,8 @@ def test_lstm_is_bit_identical_to_the_batch_major_step(dtype, b, h_size, repeat_
     t, d = 9, 16
     params = _cast_params(random_lstm_params(rng, d, h_size), dtype)
     x = rng.standard_normal((b, t, d)).astype(dtype)
-    # a constant suffix: the last real row repeated, as lstm1 reads it in the
-    # network, or zero rows, like a padded batch
+    # a constant suffix: the last real row repeated, or zero rows, like a
+    # padded batch
     x[:, -3:] = x[:, -4:-3] if repeat_last else 0.0
     x[0, 2] = -0.0
     grad_h_seq = rng.standard_normal((b, t, h_size)).astype(dtype)

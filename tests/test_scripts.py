@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from aslchamp.net import NetConfig, _param_shapes
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -56,11 +58,13 @@ def test_bit_identity_script_finds_a_checkout_identical_to_itself():
                        capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stdout + r.stderr
     rows = [line.split() for line in r.stdout.splitlines()[1:-1]]
+    params = list(_param_shapes(NetConfig()))
     assert [row[0] for row in rows] == [
-        "published_f32_predict", "s16_f32_predict", "s16_f32_infer", "s16_f64_predict",
-        "s16_f64_infer", "trained_probs"]
+        "published_f32_predict", "s16_f32_predict", "s16_f32_infer",
+        *(f"grad_f32/{name}" for name in params), "s16_f64_predict", "s16_f64_infer",
+        *(f"grad_f64/{name}" for name in params), "trained_probs"]
     assert all(row[1] == row[2] and row[3] == "same" for row in rows)
-    assert r.stdout.splitlines()[-1] == "0 of 6 differ"
+    assert r.stdout.splitlines()[-1] == f"0 of {len(rows)} differ"
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):
