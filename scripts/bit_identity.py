@@ -26,10 +26,11 @@ below in a child process that imports the package from that side's
 Networks come from ``build_network`` with a drawn output layer (a zero one
 would make every distribution uniform).  The trained network is compared
 by what it computes, not by its parameters, so a change of weight layout
-does not hide a difference; a gradient is stored in its parameter's layout,
-so such a change also shows as DIFFERS on the ``grad_*`` lines.  The inputs are generated on each side by that
-side's ``synth`` from fixed seeds.  ``--small`` builds the widest network
-at scale 1/8 instead and uses fewer attempts, for a quick check.
+does not hide a difference; a gradient is stored in its parameter's
+layout, so such a change also shows as DIFFERS on the ``grad_*`` lines.
+The inputs are generated on each side by that side's ``synth`` from fixed
+seeds.  ``--small`` builds the widest network at scale 1/8 instead and
+uses fewer attempts, for a quick check.
 
 Prints one line per hash with both sides' digests and ``same`` or
 ``DIFFERS``; exits 1 if any differs or a side fails.

@@ -388,7 +388,8 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
 
     frames = [_frames(x) for x in xs]
     lengths = _lstm_lengths(cfg, frames)
-    need1 = _reach_back(_reach_back(max(int(lengths.max()), 1), k, pool), k, pool)
+    reach = int(lengths.max())
+    need1 = _reach_back(_reach_back(max(reach, 1), k, pool), k, pool)
     xs = [x[:min(n, need1)] for x, n in zip(xs, frames)]
     t1 = conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1)
     np.tanh(t1, out=t1)
@@ -399,7 +400,7 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     packed = pack_index(lengths)
     h1, lstm1_cache = lstm_sequence(pool2[packed], _lstm(p, "lstm1"), lengths)
     h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"), lengths)
-    seq = np.zeros((len(xs), lengths.max(), h2.shape[1]), dtype=h2.dtype)
+    seq = np.zeros((len(xs), reach, h2.shape[1]), dtype=h2.dtype)
     seq[packed] = h2
 
     cache.update(xs=xs, t1=t1, off1=off1, x2=x2, t2=t2, off2=off2, packed=packed,

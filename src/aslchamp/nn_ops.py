@@ -389,8 +389,8 @@ def dense_backward(cache, grad_out: np.ndarray):
     if grad_out.shape != out.shape:
         raise ShapeMismatch(f"grad_out {grad_out.shape} != output {out.shape}")
     gz = grad_out * (1.0 - out * out) if activation == "tanh" else grad_out
-    x2 = x.reshape(-1, x.shape[-1])
     g2 = gz.reshape(-1, gz.shape[-1])
+    x2 = x.reshape(len(g2), -1)  # -1 rows is ambiguous when x has 0 columns
     grad_w = x2.T @ g2
     grad_b = g2.sum(axis=0)
     grad_x = gz @ w.T

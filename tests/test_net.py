@@ -264,7 +264,7 @@ def test_end_to_end_gradients_on_a_ragged_padded_batch(lengths):
 @pytest.mark.parametrize("kernel_size, pool", [(3, 2), (5, 3), (2, 2), (3, 1)])
 @pytest.mark.parametrize("lengths", [(9,), (1,), (1, 9, 16), (40, 4, 2),
                                      # t_max 32: the stage-shape test's batches
-                                     (-12, 5), (30, 31, 32), (41, 3)])
+                                     (-12, 5), (30, 31, 32), (41, 3), (-12,)])
 def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
     for dtype in ("float32", "float64"):
         cfg = length_cfg(dtype, kernel_size, pool)
@@ -293,8 +293,8 @@ def test_trimmed_batch_equals_batch_padded_to_t_max(kernel_size, pool, lengths):
 ])
 def test_conv_stages_compute_only_the_rows_the_lstms_read(lengths, reach, stage2_rows):
     # t_max 651, k 3, pool 2: 324 pooled rows after stage 1, 161 after stage
-    # 2; the longest reach R needs 2R + 2 rows of stage 1, and those 2 * (2R
-    # + 2) + 2 input rows
+    # 2; the longest reach R (1 if there is none) needs 2R + 2 rows of stage
+    # 1, and those 2 * (2R + 2) + 2 input rows
     cfg = NetConfig(feature_dim=10, scale_factor=Fraction(1, 64), n_classes=3,
                     classes=("A", "B", "C"), dtype="float32")
     net = drawn_head_network(cfg)
