@@ -35,11 +35,8 @@ is the sum, in ascending row order, of each pooled row r < R times its
 stored ``dense1/W`` keeps all ``pooled_len(2)`` blocks, so the parameter
 shapes are those of the published model.  So a sample's probabilities
 depend neither on its padding nor on the other samples of its batch.
-Summing dense1 row by row rounds differently from the one product over
-all rows it replaced, in the last bits; the function is the same, so the
-checkpoint format did not change.  Repeating the last output over the
-padding instead (Keras-style masking) lost signer-held-out accuracy; see
-README.
+Repeating the last output over the padding instead (Keras-style masking)
+lost signer-held-out accuracy; see README.
 """
 
 from __future__ import annotations
