@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Miniature end-to-end run: generate, train, evaluate, recognize, simulate.
 
-Uses a small synthetic corpus and a 1/32-width network so the whole pipeline
-finishes in about a minute. See the CLI (`aslchamp --help`) for the real
-command surface.
+Uses a small synthetic corpus and a 1/32-width network, so the whole
+pipeline runs in about a second: 0.7 s at the default 8 epochs with
+OPENBLAS_NUM_THREADS=1 on a 2-core x86-64 host, start-up included. See the
+CLI (`aslchamp --help`) for the real command surface.
 
 Each artifact written is reported as a `sha256 <name> <hex>` line, so two
 revisions' outputs can be compared by diffing their stdout (with

@@ -177,6 +177,17 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _split_spec(args):
+    """The --fractions/--split-unit split; bad fractions are a usage error (exit 2)."""
+    from .evaluation import SplitSpec
+    from .seeds import STAGE_SPLIT, child_seed
+    try:
+        return SplitSpec(fractions=tuple(args.fractions), unit=args.split_unit,
+                         seed=child_seed(args.seed, STAGE_SPLIT))
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
 def _load_dataset(path, what: str = "dataset file"):
     """Read a dataset file; an unreadable or invalid one is a data error (exit 4)."""
     from .dataset_io import FormatError, SchemaError, read_dataset
@@ -189,9 +200,9 @@ def _load_dataset(path, what: str = "dataset file"):
 def cmd_train(args) -> int:
     from . import net as netmod
     from .checkpoint import load_checkpoint_full, save_checkpoint
-    from .evaluation import SplitSpec, split_dataset
+    from .evaluation import split_dataset
     from .gesture import InvalidSample
-    from .seeds import STAGE_SPLIT, STAGE_TRAIN, child_seed
+    from .seeds import STAGE_TRAIN, child_seed
 
     try:
         tc = netmod.TrainConfig(
@@ -203,6 +214,7 @@ def cmd_train(args) -> int:
         )
     except netmod.InvalidConfig as e:
         raise UsageError(str(e))
+    split = _split_spec(args)
 
     ds = _load_dataset(args.data)
     class_names = tuple(sc.name for sc in sorted({s.label for s in ds.samples}))
@@ -227,8 +239,6 @@ def cmd_train(args) -> int:
             raise UsageError(str(e))
         network = netmod.build_network(cfg, seed=child_seed(args.seed, STAGE_TRAIN))
 
-    split = SplitSpec(fractions=tuple(args.fractions), unit=args.split_unit,
-                      seed=child_seed(args.seed, STAGE_SPLIT))
     train_ds, val_ds, test_ds = split_dataset(ds, split)
     try:
         train_set = netmod.encode_gesture_dataset(train_ds, cfg)
@@ -264,16 +274,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
-    from .evaluation import SplitSpec, evaluate, render_metrics, split_dataset
+    from .evaluation import evaluate, render_metrics, split_dataset
     from .gesture import InvalidSample
     from .net import ClassMismatch
-    from .seeds import STAGE_SPLIT, child_seed
 
+    split = _split_spec(args) if args.subset != "all" else None
     network = load_checkpoint(args.ckpt)
     ds = _load_dataset(args.data)
-    if args.subset != "all":
-        split = SplitSpec(fractions=tuple(args.fractions), unit=args.split_unit,
-                          seed=child_seed(args.seed, STAGE_SPLIT))
+    if split is not None:
         parts = dict(zip(("train", "val", "test"), split_dataset(ds, split)))
         ds = parts[args.subset]
     try:
@@ -325,11 +333,12 @@ def cmd_lesson_sim(args) -> int:
     from .seeds import STAGE_LESSON, child_seed
     from .synth import default_templates
 
-    network = load_checkpoint(args.ckpt)
     try:
         signs = tuple(sign_class(name) for name in args.signs)
     except KeyError as e:
         raise UsageError(str(e))
+    if not signs:
+        raise UsageError("--signs needs at least one sign name")
     plan = LessonPlan(signs=signs)
     try:
         profile = LearnerProfile(success_prob=args.success_prob,
@@ -338,6 +347,7 @@ def cmd_lesson_sim(args) -> int:
                                  seed=child_seed(args.seed, STAGE_LESSON))
     except ValueError as e:
         raise UsageError(str(e))
+    network = load_checkpoint(args.ckpt)
     final = simulate_learner(plan, net_classifier(network), profile, default_templates())
 
     attempts: dict[str, int] = {}

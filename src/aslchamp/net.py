@@ -390,10 +390,10 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     xs = [x[:min(n, need1)] for x, n in zip(xs, frames)]
     t1 = conv1d_ragged_forward(xs, p["conv1/K"], p["conv1/b"], need1)
     np.tanh(t1, out=t1)
-    x2, off1 = maxpool1d_forward(t1, pool, pool)
+    x2, off1 = maxpool1d_forward(t1, pool)
     t2 = conv1d_forward(x2, p["conv2/K"], p["conv2/b"])
     np.tanh(t2, out=t2)
-    pool2, off2 = maxpool1d_forward(t2, pool, pool)
+    pool2, off2 = maxpool1d_forward(t2, pool)
     packed = pack_index(lengths)
     h1, lstm1_cache = lstm_sequence(pool2[packed], _lstm(p, "lstm1"), lengths)
     h2, lstm2_cache = lstm_sequence(h1, _lstm(p, "lstm2"), lengths)
@@ -413,7 +413,7 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
         cache[f"drop{i}"] = mask
     logits, out_cache = dense_forward(act, p["out/W"], p["out/b"])
     cache["out"] = out_cache
-    probs = softmax(logits.astype(np.float64), axis=-1)
+    probs = softmax(logits.astype(np.float64))
     return logits, probs, cache
 
 
@@ -447,11 +447,11 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
 
     g_pool2 = np.zeros(cache["off2"].shape, dtype=g.dtype)
     g_pool2[packed] = g
-    g = maxpool1d_backward(g_pool2, cache["off2"], cache["t2"].shape[1], stride=cfg.pool)
+    g = maxpool1d_backward(g_pool2, cache["off2"], cache["t2"].shape[1], cfg.pool)
     g = tanh_backward(cache["t2"], g)
     g, grads["conv2/K"], grads["conv2/b"] = conv1d_backward(
         cache["x2"], p["conv2/K"], g)
-    g = maxpool1d_backward(g, cache["off1"], cache["t1"].shape[1], stride=cfg.pool)
+    g = maxpool1d_backward(g, cache["off1"], cache["t1"].shape[1], cfg.pool)
     g = tanh_backward(cache["t1"], g)
     grads["conv1/K"], grads["conv1/b"] = conv1d_ragged_backward(cache["xs"], p["conv1/K"], g)
     return grads

@@ -3,8 +3,9 @@
 Every operation here is written directly against its defining sums so it can
 be checked against brute-force oracles and central finite differences.  Arrays
 are plain numpy ndarrays; float64 is the reference precision, float32 is
-supported for speed.  Time-major layouts: a single sequence is (T, D) and a
-batch is (B, T, D).  Ops accept either and preserve which one they were given.
+supported for speed.  Each kernel takes the one input form the network
+passes it: a (B, T, D) batch to the conv and pool ops, (B, D) rows to the
+dense ops, and the packed rows of a batch to the LSTM.
 Only what the network uses is here: convolution is stride 1 with valid
 padding, max pooling takes non-overlapping windows and reports each
 maximum by its offset in its window, and an LSTM sequence starts from the
@@ -17,12 +18,11 @@ own rows are multiplied, and its taps are summed only over the output rows
 that read them.
 LSTM parameters are stored as the step reads them: W_x fused as one
 (D, 4H) matrix, W_h gate-major as (4, H, H), one (H, H) block per gate.
-``lstm_sequence`` is length-aware: given per-sample lengths it takes and
-returns the packed form of the batch (``pack_index``, the layout of
-PyTorch's ``pack_padded_sequence``), sorted longest first, and step t
-multiplies only the rows of the samples still running, a prefix of step
-t - 1's.  A batch without lengths runs as the packed batch of equal
-lengths.  The whole input goes through W_x in one GEMM over the packed
+``lstm_sequence`` takes and returns the packed form of a batch of given
+per-sample lengths (``pack_index``, the layout of PyTorch's
+``pack_padded_sequence``), sorted longest first, and step t multiplies
+only the rows of the samples still running, a prefix of step t - 1's.
+The whole input goes through W_x in one GEMM over the packed
 rows before the time loop, so each step does only the recurrent product,
 h W_h; the backward pass forms the input and weight gradients in one GEMM
 each after the loop.  With one row a step (B = 1), h W_h is four GEMVs,
@@ -66,15 +66,6 @@ class NonFiniteValue(ArithmeticError):
 
 class IndexOutOfRange(IndexError):
     pass
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote (T, D) to (1, T, D); report whether input was single."""
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeMismatch(f"expected 2-D or 3-D input, got shape {x.shape}")
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, min_rows: int = 1):
@@ -123,13 +114,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax; components in (0, 1], rows sum to 1."""
-    if z.shape[axis] < 1:
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis; components in (0, 1], rows
+    sum to 1."""
+    if z.shape[-1] < 1:
         raise ShapeMismatch("softmax needs at least one class")
-    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +130,17 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _check_conv_shapes(x, kernels, bias):
+    if x.ndim != 3:
+        raise ShapeMismatch(f"x must be (B, T, D_in), got {x.shape}")
     if kernels.ndim != 3:
         raise ShapeMismatch(f"kernels must be (F, k, D_in), got {kernels.shape}")
     f, k, d_in = kernels.shape
-    if x.shape[-1] != d_in:
-        raise ShapeMismatch(f"input dim {x.shape[-1]} != kernel dim {d_in}")
+    if x.shape[2] != d_in:
+        raise ShapeMismatch(f"input dim {x.shape[2]} != kernel dim {d_in}")
     if bias.shape != (f,):
         raise ShapeMismatch(f"bias shape {bias.shape} != ({f},)")
-    if x.shape[-2] < k:
-        raise ShapeMismatch(f"sequence length {x.shape[-2]} shorter than kernel {k}")
+    if x.shape[1] < k:
+        raise ShapeMismatch(f"sequence length {x.shape[1]} shorter than kernel {k}")
 
 
 # OpenBLAS multiplies a product of at most this many output cells whose
@@ -183,45 +177,44 @@ def _sum_taps(y: np.ndarray, bias: np.ndarray, out: np.ndarray):
 
 
 def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out[t, f] = bias[f] + sum_{a, d} x[t + a, d] * kernels[f, a, d] (stride 1)."""
+    """out[b, t, f] = bias[f] + sum_{a, d} x[b, t + a, d] * kernels[f, a, d]
+    (stride 1) of a (B, T, D_in) batch."""
     _check_conv_shapes(x, kernels, bias)
-    xb, single = _as_batch(x)
     f, k, d_in = kernels.shape
-    b, t, _ = xb.shape
+    b, t, _ = x.shape
     # one GEMM against all taps of the stored kernels, then gather the shifted taps
-    taps = _taps(kernels, xb.dtype)
-    y = np.empty((b * t, f * k), dtype=xb.dtype)
-    _matmul(xb.reshape(b * t, d_in), taps, y, _tap_rows(taps))
-    out = np.empty((b, t - k + 1, f), dtype=xb.dtype)
+    taps = _taps(kernels, x.dtype)
+    y = np.empty((b * t, f * k), dtype=x.dtype)
+    _matmul(x.reshape(b * t, d_in), taps, y, _tap_rows(taps))
+    out = np.empty((b, t - k + 1, f), dtype=x.dtype)
     _sum_taps(y.reshape(b, t, f, k), bias, out)
-    return out[0] if single else out
+    return out
 
 
 def conv1d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray):
     """Adjoint of conv1d_forward; returns (grad_x, grad_kernels, grad_bias)."""
     f, k, d_in = kernels.shape
-    xb, single = _as_batch(x)
-    gb, gsingle = _as_batch(grad_out)
-    if single != gsingle or gb.shape[0] != xb.shape[0] or gb.shape[-1] != f:
-        raise ShapeMismatch(f"grad_out shape {grad_out.shape} inconsistent with "
-                            f"input {x.shape} and kernels {kernels.shape}")
-    b, t, _ = xb.shape
+    if x.ndim != 3:
+        raise ShapeMismatch(f"x must be (B, T, D_in), got {x.shape}")
+    b, t, _ = x.shape
     t_out = t - k + 1
-    if gb.shape[1] != t_out:
-        raise ShapeMismatch(f"grad_out T {gb.shape[1]} != expected {t_out}")
+    if grad_out.shape != (b, t_out, f):
+        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != ({b}, {t_out}, {f}) of "
+                            f"input {x.shape} and kernels {kernels.shape}")
 
-    grad_bias = gb.sum(axis=(0, 1), dtype=np.float64).astype(kernels.dtype)
+    grad_bias = grad_out.sum(axis=(0, 1), dtype=np.float64).astype(kernels.dtype)
     # scatter grad_out into zero-padded tap planes, then one GEMM per direction
-    gpad = np.zeros((b, t, k, f), dtype=gb.dtype)
+    gpad = np.zeros((b, t, k, f), dtype=grad_out.dtype)
     for a in range(k):
-        gpad[:, a:a + t_out, a, :] = gb
+        gpad[:, a:a + t_out, a, :] = grad_out
     g2 = gpad.reshape(b * t, k * f)
-    gk_flat = g2.T @ xb.reshape(b * t, d_in)  # (k*F, D)
+    gk_flat = g2.T @ x.reshape(b * t, d_in)  # (k*F, D)
     grad_k = gk_flat.reshape(k, f, d_in).transpose(1, 0, 2).astype(kernels.dtype, copy=False)
 
-    k2 = kernels.transpose(1, 0, 2).reshape(k * f, d_in).astype(gb.dtype, copy=False)  # (k*F, D)
+    k2 = kernels.transpose(1, 0, 2).reshape(k * f, d_in)  # (k*F, D)
+    k2 = k2.astype(grad_out.dtype, copy=False)
     grad_x = (g2 @ k2).reshape(b, t, d_in)
-    return (grad_x[0] if single else grad_x), grad_k, grad_bias
+    return grad_x, grad_k, grad_bias
 
 
 def _check_ragged(xs, kernels: np.ndarray, length: int):
@@ -308,23 +301,22 @@ def conv1d_ragged_backward(xs, kernels: np.ndarray, grad_out: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
-    """Returns (pooled, offsets) over non-overlapping windows (``stride`` must
-    equal ``window``; rows past the last whole window are dropped).
+def maxpool1d_forward(x: np.ndarray, window: int):
+    """Returns (pooled, offsets) of a (B, T, F) batch over non-overlapping
+    windows of ``window`` rows; rows past the last whole window are dropped.
 
-    offsets[..., j, f] is the in-window position of window j's maximum, as
+    offsets[b, j, f] is the in-window position of window j's maximum, as
     uint8 for windows of up to 256 rows (the input row is j * window +
     offset); ties go to the first entry, and a window holding NaN reports
     its first NaN (numpy argmax convention).
     """
-    xb, single = _as_batch(x)
-    b, t, f = xb.shape
+    if x.ndim != 3:
+        raise ShapeMismatch(f"x must be (B, T, F), got {x.shape}")
+    b, t, f = x.shape
     if window < 1 or window > t:
         raise ShapeMismatch(f"window {window} invalid for T={t}")
-    if stride != window:
-        raise ShapeMismatch(f"stride {stride} != window {window}: windows must not overlap")
     t_out = t // window
-    win = xb[:, :t_out * window].reshape(b, t_out, window, f)
+    win = x[:, :t_out * window].reshape(b, t_out, window, f)
     # slot by slot: a reduction over a middle axis of length 2 or 3 is slow in numpy
     out = win[:, :, 0].copy()
     for a in range(1, window):
@@ -336,33 +328,30 @@ def maxpool1d_forward(x: np.ndarray, window: int, stride: int):
         col = win[:, :, a]
         missed &= (col != out) & (col == col)
         offset += missed
-    if single:
-        return out[0], offset[0]
     return out, offset
 
 
 def maxpool1d_backward(grad_out: np.ndarray, offsets: np.ndarray, input_len: int,
-                       stride: int) -> np.ndarray:
-    """Scatter each pooled gradient into zeros, at the input row
-    ``maxpool1d_forward``'s offset selects in its window, rows j*stride to
-    (j+1)*stride - 1; an offset outside 0 to stride - 1 is refused
-    (ShapeMismatch).  Each input row wins at most once, so it is one
+                       window: int) -> np.ndarray:
+    """Scatter each pooled gradient of a (B, T_out, F) batch into zeros, at
+    the input row ``maxpool1d_forward``'s offset selects in its window, rows
+    j*window to (j+1)*window - 1; an offset outside 0 to window - 1 is
+    refused (ShapeMismatch).  Each input row wins at most once, so it is one
     assignment; a slot its window did not select keeps +0.0, whatever the
     gradient (inf and NaN too), and so do the rows past the last window.
     """
-    gb, single = _as_batch(grad_out)
-    ob, _ = _as_batch(offsets)
-    if gb.shape != ob.shape:
-        raise ShapeMismatch(f"grad_out {grad_out.shape} != offsets {offsets.shape}")
-    b, t_out, f = gb.shape
-    if stride * t_out > input_len:
-        raise ShapeMismatch(f"{t_out} windows of {stride} do not fit {input_len} rows")
-    if t_out and (ob.min() < 0 or ob.max() >= stride):
+    if grad_out.ndim != 3 or grad_out.shape != offsets.shape:
+        raise ShapeMismatch(f"grad_out {grad_out.shape} and offsets {offsets.shape} "
+                            f"must be one (B, T_out, F) shape")
+    b, t_out, f = grad_out.shape
+    if window * t_out > input_len:
+        raise ShapeMismatch(f"{t_out} windows of {window} do not fit {input_len} rows")
+    if t_out and (offsets.min() < 0 or offsets.max() >= window):
         raise ShapeMismatch("offset outside its pooling window")
-    grad_x = np.zeros((b, input_len, f), dtype=gb.dtype)
-    view = grad_x[:, :stride * t_out, :].reshape(b, t_out, stride, f)
-    np.put_along_axis(view, ob[:, :, None, :], gb[:, :, None, :], axis=2)
-    return grad_x[0] if single else grad_x
+    grad_x = np.zeros((b, input_len, f), dtype=grad_out.dtype)
+    view = grad_x[:, :window * t_out, :].reshape(b, t_out, window, f)
+    np.put_along_axis(view, offsets[:, :, None, :], grad_out[:, :, None, :], axis=2)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +361,8 @@ def maxpool1d_backward(grad_out: np.ndarray, offsets: np.ndarray, input_len: int
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                   activation: str | None = None):
-    """x @ w + b with optional tanh; returns (out, cache)."""
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+    """x @ w + b of x (B, D) with optional tanh; returns (out, cache)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"x {x.shape} incompatible with w {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeMismatch(f"bias {b.shape} != ({w.shape[1]},)")
@@ -389,10 +378,8 @@ def dense_backward(cache, grad_out: np.ndarray):
     if grad_out.shape != out.shape:
         raise ShapeMismatch(f"grad_out {grad_out.shape} != output {out.shape}")
     gz = grad_out * (1.0 - out * out) if activation == "tanh" else grad_out
-    g2 = gz.reshape(-1, gz.shape[-1])
-    x2 = x.reshape(len(g2), -1)  # -1 rows is ambiguous when x has 0 columns
-    grad_w = x2.T @ g2
-    grad_b = g2.sum(axis=0)
+    grad_w = x.T @ gz
+    grad_b = gz.sum(axis=0)
     grad_x = gz @ w.T
     return grad_x, grad_w, grad_b
 
@@ -691,51 +678,38 @@ def _step_views(xw, acts, hs, cs, tcs, n0: int, steps):
              tcs[start:end], hs[n0 + start:n0 + end]) for start, end, prev in steps)
 
 
-def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
+def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths):
     """Run the cell over each sequence from the zero state; returns
     (h_seq, cache).
 
-    Without ``lengths``, x is one (T, D) sequence or a (B, T, D) batch of
-    sequences T steps long, and h_seq holds every hidden state, (T, H) or
-    (B, T, H).  With ``lengths``, sample i of a batch is lengths[i] steps
-    long (0 allowed), and x and h_seq are packed: (sum(lengths), D) and
-    (sum(lengths), H), row r being sample[r]'s step step[r] of
-    ``pack_index(lengths)``.  A batch without lengths runs as the packed
-    batch of equal lengths, its rows time-major.
+    Sample i of the batch is lengths[i] steps long (0 allowed), and x and
+    h_seq are packed: (sum(lengths), D) and (sum(lengths), H), row r being
+    sample[r]'s step step[r] of ``pack_index(lengths)``.
 
     Step t multiplies only its live rows, a prefix of the previous step's.
     The input projection x W_x is one GEMM over all rows.  With two or more
     samples every product stays a GEMM (``_matmul``), so a sample's states
-    do not depend on which samples share its batch.  The cache holds x as
-    given and, over the packed rows, the states (after n_0 zero start rows,
-    n_0 the samples of nonzero length), tanh(c) and the gate activations,
-    step t's a gate-major (4, n_t, H) block of its own.
+    do not depend on which samples share its batch.  The cache holds x and,
+    over the packed rows, the states (after n_0 zero start rows, n_0 the
+    samples of nonzero length), tanh(c) and the gate activations, step t's
+    a gate-major (4, n_t, H) block of its own.
     """
     params.check_shapes()
-    if lengths is None:
-        xb, single = _as_batch(x)
-        b, t, d = xb.shape
-        xp = xb.transpose(1, 0, 2).reshape(t * b, d)
-        lengths = np.full(b, t)
-    else:
-        single = None
-        d = x.shape[-1]
-        if x.ndim != 2 or len(x) != int(np.sum(lengths)):
-            raise ShapeMismatch(f"packed input shape {x.shape} != (sum(lengths), D)")
-        xp = x
-    if d != params.input_size:
-        raise ShapeMismatch(f"input dim {d} != {params.input_size}")
+    if x.ndim != 2 or len(x) != int(np.sum(lengths)):
+        raise ShapeMismatch(f"packed input shape {x.shape} != (sum(lengths), D)")
+    if x.shape[1] != params.input_size:
+        raise ShapeMismatch(f"input dim {x.shape[1]} != {params.input_size}")
     _, n0, steps = _packed_steps(lengths)
     min_rows = 2 if len(lengths) > 1 else 1
     hsz = params.hidden_size
-    dtype = xp.dtype
-    n = len(xp)
+    dtype = x.dtype
+    n = len(x)
     hs = np.empty((n0 + n, hsz), dtype=dtype)  # n0 zero start rows, then each step's output
     cs = np.empty((n0 + n, hsz), dtype=dtype)
     hs[:n0], cs[:n0] = 0, 0
 
     xw = np.empty((n, 4 * hsz), dtype=dtype)
-    _matmul(xp, params.W_x.astype(dtype, copy=False), xw, min_rows)
+    _matmul(x, params.W_x.astype(dtype, copy=False), xw, min_rows)
     acts = np.empty(n * 4 * hsz, dtype=dtype)
     tcs = np.empty((n, hsz), dtype=dtype)
     wh = _recurrent_operand(params, dtype, gemv=min_rows == 1)
@@ -747,22 +721,16 @@ def lstm_sequence(x: np.ndarray, params: LSTMCellParams, lengths=None):
             operands = _step_operands(params, wh, (live,), min_rows)
         _lstm_step(xw_t, h_prev, c_prev, operands, act, c, tc, h, step & 1)
 
-    cache = (x, hs, cs, acts, tcs, lengths, single)
-    h_seq = hs[n0:]
-    if single is not None:
-        h_seq = np.ascontiguousarray(h_seq.reshape(t, b, hsz).transpose(1, 0, 2))
-        if single:
-            h_seq = h_seq[0]
-    return h_seq, cache
+    return hs[n0:], (x, hs, cs, acts, tcs, lengths)
 
 
 def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray):
     """Backpropagation through time.
 
-    Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_x has the
-    shape of ``lstm_sequence``'s x (packed if it was), grad_params is a
-    dict keyed like LSTMCellParams fields, each in its field's layout, and
-    grad_h0, grad_c0 (B, H) are the gradients at the zero start state.
+    Returns (grad_x, grad_params, grad_h0, grad_c0) where grad_x is packed
+    as ``lstm_sequence``'s x, grad_params is a dict keyed like
+    LSTMCellParams fields, each in its field's layout, and grad_h0, grad_c0
+    (B, H) are the gradients at the zero start state.
     The loop carries only the recurrent gradient over each step's live
     rows: each gate's gradient is formed from the contiguous gate blocks of
     the cache and written into its column block of the fused (n_t, 4H)
@@ -772,26 +740,15 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
     the fused layout and on live rows only; W_h's gradient is then
     rearranged gate-major.
     """
-    x, hs, cs, acts, tcs, lengths, single = cache
+    x, hs, cs, acts, tcs, lengths = cache
     hsz = hs.shape[1]
     g4 = 4 * hsz
     sample, n0, steps = _packed_steps(lengths)
     n = len(tcs)
     min_rows = 2 if len(lengths) > 1 else 1
-    if single is None:
-        if grad_h_seq.shape != (n, hsz):
-            raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} != packed ({n}, {hsz})")
-        gp = grad_h_seq
-        xp = x
-    else:
-        gseq, gsingle = _as_batch(grad_h_seq)
-        xb, _ = _as_batch(x)
-        b, t, d = xb.shape
-        if gseq.shape != (b, t, hsz) or gsingle != single:
-            raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} mismatch")
-        gp = gseq.transpose(1, 0, 2).reshape(n, hsz)
-        xp = xb.transpose(1, 0, 2).reshape(n, d)
-    dtype = xp.dtype
+    if grad_h_seq.shape != (n, hsz):
+        raise ShapeMismatch(f"grad_h_seq shape {grad_h_seq.shape} != packed ({n}, {hsz})")
+    dtype = x.dtype
     wx_t = params.W_x.astype(dtype, copy=False).T
     wh_t = np.ascontiguousarray(params.W_h.transpose(0, 2, 1), dtype=dtype).reshape(g4, hsz)
 
@@ -807,7 +764,7 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
             live = m
         act = acts[start * g4:end * g4].reshape(4, m, hsz)
         tc = tcs[start:end]
-        dhm += gp[start:end]
+        dhm += grad_h_seq[start:end]
         np.multiply(tc, tc, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         np.multiply(dhm, act[3], out=dcc)
@@ -834,14 +791,10 @@ def lstm_sequence_backward(cache, params: LSTMCellParams, grad_h_seq: np.ndarray
     # the two bias vectors enter the gates as a sum, so they share a gradient
     gb = d_gates.sum(axis=0)  # (4H,)
     grad_wh = (h_prev.T @ d_gates).reshape(hsz, 4, hsz).transpose(1, 0, 2)
-    grads = {"W_x": xp.T @ d_gates, "W_h": np.ascontiguousarray(grad_wh),
+    grads = {"W_x": x.T @ d_gates, "W_h": np.ascontiguousarray(grad_wh),
              "b_x": gb, "b_h": gb.copy()}
     grad_h0, grad_c0 = (np.zeros((len(lengths), hsz), dtype=dtype) for _ in range(2))
     grad_h0[sample[:n0]], grad_c0[sample[:n0]] = dh, dc
-    if single is not None:
-        grad_x = np.ascontiguousarray(grad_x.reshape(t, b, -1).transpose(1, 0, 2))
-        if single:
-            grad_x = grad_x[0]
     return grad_x, grads, grad_h0, grad_c0
 
 
@@ -914,7 +867,7 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):
         raise ShapeMismatch(f"targets shape {targets.shape} != ({b},)")
     if targets.min() < 0 or targets.max() >= k:
         raise IndexOutOfRange("target class out of range")
-    probs = softmax(logits.astype(np.float64), axis=-1)
+    probs = softmax(logits.astype(np.float64))
     picked = np.clip(probs[np.arange(b), targets], _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     loss = float(-np.log(picked).mean())
     grad = probs

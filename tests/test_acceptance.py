@@ -107,10 +107,10 @@ def _conv_case(rng):
     proj = rng.standard_normal((t - k + 1, f))
 
     def loss(x_, k_, b_):
-        return float(np.sum(proj * ops.conv1d_forward(x_, k_, b_)))
+        return float(np.sum(proj * ops.conv1d_forward(x_[None], k_, b_)[0]))
 
-    gx, gk, gb = ops.conv1d_backward(x, kernels, proj)
-    return loss, [x, kernels, bias], [gx, gk, gb]
+    gx, gk, gb = ops.conv1d_backward(x[None], kernels, proj[None])
+    return loss, [x, kernels, bias], [gx[0], gk, gb]
 
 
 def _dense_case(rng):
@@ -134,12 +134,12 @@ def _lstm_case(rng):
     params = random_lstm_params(rng, d, h, scale=0.5)
     x = rng.standard_normal((t, d))
     proj = rng.standard_normal((t, h))
-    _, cache = ops.lstm_sequence(x, params)
+    _, cache = ops.lstm_sequence(x, params, [t])
     gx, gparams, _, _ = ops.lstm_sequence_backward(cache, params, proj)
     names = sorted(vars(params))
 
     def loss(x_, *arrs):
-        h_, _ = ops.lstm_sequence(x_, params)
+        h_, _ = ops.lstm_sequence(x_, params, [t])
         return float(np.sum(proj * h_))
 
     inputs = [x] + [getattr(params, n) for n in names]
@@ -173,15 +173,15 @@ def _xent_case(rng):
 def _pool_case(rng):
     t, f = int(rng.integers(4, 10)), int(rng.integers(1, 4))
     x = rng.standard_normal((t, f)) * 2  # spread values so eps cannot flip argmax
-    window, stride = 2, 2
-    out, arg = ops.maxpool1d_forward(x, window, stride)
+    window = 2
+    out, arg = ops.maxpool1d_forward(x[None], window)
     proj = rng.standard_normal(out.shape)
 
     def loss(x_):
-        o, _ = ops.maxpool1d_forward(x_, window, stride)
+        o, _ = ops.maxpool1d_forward(x_[None], window)
         return float(np.sum(proj * o))
 
-    return loss, [x], [ops.maxpool1d_backward(proj, arg, t, stride=stride)]
+    return loss, [x], [ops.maxpool1d_backward(proj, arg, t, window)[0]]
 
 
 def test_gradient_suite():
@@ -272,7 +272,7 @@ def test_oracle_equivalence():
         x = rng.integers(-8, 9, size=(t, d)).astype(float)
         kernels = rng.integers(-8, 9, size=(f, k, d)).astype(float)
         bias = rng.integers(-8, 9, size=f).astype(float)
-        if np.array_equal(ops.conv1d_forward(x, kernels, bias),
+        if np.array_equal(ops.conv1d_forward(x[None], kernels, bias)[0],
                           conv_oracle(x, kernels, bias)):
             conv_exact += 1
 

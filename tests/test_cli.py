@@ -106,8 +106,10 @@ def test_train_epochs_zero_is_usage_error(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--lr", "-0.001"], ["--lr", "0"], ["--lr", "nan"],
-                                   ["--lr", "inf"], ["--patience", "-1"]],
-                         ids=["negative-lr", "zero-lr", "nan-lr", "inf-lr", "negative-patience"])
+                                   ["--lr", "inf"], ["--patience", "-1"],
+                                   ["--fractions", "0.5,0.5,0"]],
+                         ids=["negative-lr", "zero-lr", "nan-lr", "inf-lr", "negative-patience",
+                              "zero-fraction"])
 def test_train_bad_optimizer_flags_are_usage_errors(workspace, tmp_path, flags):
     ckpt = tmp_path / "x.ckpt"
     r = run_cli(*TRAIN_MINI, "--data", workspace["data"], "--ckpt", ckpt, *flags)
@@ -364,6 +366,16 @@ def test_lesson_sim_perfect_and_hopeless(tmp_path):
 def test_lesson_sim_bad_sign_is_usage_error(workspace):
     r = run_cli("lesson-sim", "--ckpt", workspace["ckpt"], "--signs", "ESPRESSO")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args", [["lesson-sim", "--signs"],
+                                  ["eval", "--subset", "test", "--fractions", "0.5,0.6,0.1"]],
+                         ids=["lesson-sim-no-signs", "eval-fractions"])
+def test_lesson_sim_and_eval_bad_flags_are_usage_errors(workspace, args):
+    data = ["--data", workspace["data"]] if args[0] == "eval" else []
+    r = run_cli(args[0], "--ckpt", workspace["ckpt"], *data, *args[1:])
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("value", ["0", "two"])

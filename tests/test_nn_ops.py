@@ -203,7 +203,7 @@ def test_softmax_rejects_empty():
 
 
 def test_conv_identity_kernel():
-    x = np.array([[1.0], [2.0], [3.0]])
+    x = np.array([[[1.0], [2.0], [3.0]]])
     out = conv1d_forward(x, np.array([[[1.0]]]), np.zeros(1))
     np.testing.assert_array_equal(out, x)
 
@@ -211,13 +211,13 @@ def test_conv_identity_kernel():
 def test_conv_difference_kernel():
     x = np.array([[1.0], [2.0], [3.0]])
     kernels = np.array([[[1.0], [-1.0]]])  # (F=1, k=2, D=1)
-    out = conv1d_forward(x, kernels, np.zeros(1))
+    out = conv1d_forward(x[None], kernels, np.zeros(1))[0]
     np.testing.assert_array_equal(out, conv_oracle(x, kernels, np.zeros(1)))
     np.testing.assert_array_equal(out, [[-1.0], [-1.0]])
 
 
 def test_conv_zero_kernels_give_bias(rng):
-    x = rng.standard_normal((7, 3))
+    x = rng.standard_normal((1, 7, 3))
     kernels = np.zeros((2, 3, 3))
     bias = np.array([4.0, -1.5])
     out = conv1d_forward(x, kernels, bias)
@@ -231,7 +231,7 @@ def test_conv_matches_oracle_continuous(rng, k):
         x = rng.standard_normal((t, d))
         kernels = rng.standard_normal((f, k, d))
         bias = rng.standard_normal(f)
-        got = conv1d_forward(x, kernels, bias)
+        got = conv1d_forward(x[None], kernels, bias)[0]
         want = conv_oracle(x, kernels, bias)
         assert got.shape == want.shape == (t - k + 1, f)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
@@ -246,7 +246,7 @@ def test_conv_matches_oracle_exactly_on_integer_values(rng):
         x = rng.integers(-8, 9, size=(t, d)).astype(float)
         kernels = rng.integers(-8, 9, size=(f, k, d)).astype(float)
         bias = rng.integers(-8, 9, size=f).astype(float)
-        got = conv1d_forward(x, kernels, bias)
+        got = conv1d_forward(x[None], kernels, bias)[0]
         want = conv_oracle(x, kernels, bias)
         assert np.array_equal(got, want)
 
@@ -257,7 +257,7 @@ def test_conv_batched_matches_per_sample(rng):
     bias = rng.standard_normal(2)
     batched = conv1d_forward(x, kernels, bias)
     for b in range(4):
-        np.testing.assert_array_equal(batched[b], conv1d_forward(x[b], kernels, bias))
+        np.testing.assert_array_equal(batched[b], conv1d_forward(x[b:b + 1], kernels, bias)[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -271,15 +271,15 @@ def test_conv_rows_do_not_depend_on_how_many_rows_are_multiplied(dtype, f, d):
     kernels = (rng.standard_normal((f, 3, d)) * 0.1).astype(dtype)
     bias = rng.standard_normal(f).astype(dtype)
     x = rng.standard_normal((64, d)).astype(dtype)
-    full = conv1d_forward(x, kernels, bias)
+    full = conv1d_forward(x[None], kernels, bias)[0]
     for t in (3, 4, 5, 8, 13, 20, 31):
-        np.testing.assert_array_equal(conv1d_forward(x[:t], kernels, bias), full[:t - 2])
+        np.testing.assert_array_equal(conv1d_forward(x[None, :t], kernels, bias)[0], full[:t - 2])
         np.testing.assert_array_equal(ops.conv1d_ragged_forward([x[:t]], kernels, bias, 64)[0, :t - 2],
                                       full[:t - 2])
 
 
 def test_conv_shape_errors(rng):
-    x = rng.standard_normal((5, 3))
+    x = rng.standard_normal((1, 5, 3))
     with pytest.raises(ShapeMismatch):
         conv1d_forward(x, rng.standard_normal((2, 2, 4)), np.zeros(2))
     with pytest.raises(ShapeMismatch):
@@ -289,16 +289,16 @@ def test_conv_shape_errors(rng):
 
 
 def test_conv_backward_zero_grad_gives_zeros(rng):
-    x = rng.standard_normal((6, 2))
+    x = rng.standard_normal((1, 6, 2))
     kernels = rng.standard_normal((3, 2, 2))
-    gx, gk, gb = conv1d_backward(x, kernels, np.zeros((5, 3)))
+    gx, gk, gb = conv1d_backward(x, kernels, np.zeros((1, 5, 3)))
     assert not gx.any() and not gk.any() and not gb.any()
 
 
 def test_conv_backward_identity_kernel_routes_grad(rng):
-    x = rng.standard_normal((6, 1))
+    x = rng.standard_normal((1, 6, 1))
     kernels = np.array([[[1.0]]])
-    grad_out = rng.standard_normal((6, 1))
+    grad_out = rng.standard_normal((1, 6, 1))
     gx, _, _ = conv1d_backward(x, kernels, grad_out)
     np.testing.assert_array_equal(gx, grad_out)
 
@@ -312,10 +312,10 @@ def test_conv_backward_matches_finite_differences(rng):
         w = rng.standard_normal((t - k + 1, f))
 
         def loss(x_, k_, b_):
-            return float(np.sum(w * conv1d_forward(x_, k_, b_)))
+            return float(np.sum(w * conv1d_forward(x_[None], k_, b_)[0]))
 
-        gx, gk, gb = conv1d_backward(x, kernels, w)
-        assert grad_check(loss, [x, kernels, bias], [gx, gk, gb]) < 1e-6
+        gx, gk, gb = conv1d_backward(x[None], kernels, w[None])
+        assert grad_check(loss, [x, kernels, bias], [gx[0], gk, gb]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +324,18 @@ def test_conv_backward_matches_finite_differences(rng):
 
 
 def test_pool_simple_case():
-    x = np.array([[1.0], [3.0], [2.0], [5.0]])
-    out, arg = maxpool1d_forward(x, 2, 2)
-    np.testing.assert_array_equal(out, [[3.0], [5.0]])
-    np.testing.assert_array_equal(arg, [[1], [1]])  # rows 1 and 3
+    x = np.array([[[1.0], [3.0], [2.0], [5.0]]])
+    out, arg = maxpool1d_forward(x, 2)
+    np.testing.assert_array_equal(out, [[[3.0], [5.0]]])
+    np.testing.assert_array_equal(arg, [[[1], [1]]])  # rows 1 and 3
 
 
 def test_pool_constant_input_ties_to_first_index():
-    x = np.ones((6, 2))
-    out, arg = maxpool1d_forward(x, 2, 2)
-    np.testing.assert_array_equal(arg[:, 0], [0, 0, 0])  # rows 0, 2 and 4
-    grad = maxpool1d_backward(np.ones_like(out), arg, 6, stride=2)
-    np.testing.assert_array_equal(grad[:, 0], [1, 0, 1, 0, 1, 0])
+    x = np.ones((1, 6, 2))
+    out, arg = maxpool1d_forward(x, 2)
+    np.testing.assert_array_equal(arg[0, :, 0], [0, 0, 0])  # rows 0, 2 and 4
+    grad = maxpool1d_backward(np.ones_like(out), arg, 6, 2)
+    np.testing.assert_array_equal(grad[0, :, 0], [1, 0, 1, 0, 1, 0])
 
 
 def test_pool_matches_oracle(rng):
@@ -344,10 +344,10 @@ def test_pool_matches_oracle(rng):
         f = int(rng.integers(1, 5))
         window = int(rng.integers(1, t + 1))
         x = rng.standard_normal((t, f))
-        out, arg = maxpool1d_forward(x, window, window)
+        out, arg = maxpool1d_forward(x[None], window)
         want, want_arg = pool_oracle(x, window)
-        np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(arg, want_arg)
+        np.testing.assert_array_equal(out[0], want)
+        np.testing.assert_array_equal(arg[0], want_arg)
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 4])
@@ -356,12 +356,12 @@ def test_pool_non_overlapping_matches_oracle_with_ties(rng, window):
     for _ in range(20):
         t = int(rng.integers(window, 15))
         x = rng.integers(-2, 3, size=(t, 3)).astype(float)
-        out, arg = maxpool1d_forward(x, window, window)
+        out, arg = maxpool1d_forward(x[None], window)
         want, want_arg = pool_oracle(x, window)
-        np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(arg, want_arg)
+        np.testing.assert_array_equal(out[0], want)
+        np.testing.assert_array_equal(arg[0], want_arg)
     batch = rng.integers(-2, 3, size=(4, 13, 5)).astype(np.float32)
-    out, arg = maxpool1d_forward(batch, window, window)
+    out, arg = maxpool1d_forward(batch, window)
     assert out.dtype == np.float32 and arg.dtype == np.uint8
     for b in range(4):
         want, want_arg = pool_oracle(batch[b], window)
@@ -370,32 +370,32 @@ def test_pool_non_overlapping_matches_oracle_with_ties(rng, window):
 
 
 def test_pool_non_overlapping_reports_first_nan_like_argmax():
-    x = np.array([[1.0], [np.nan], [np.nan], [0.0], [2.0], [np.nan]])
-    out, arg = maxpool1d_forward(x, 3, 3)
+    x = np.array([[[1.0], [np.nan], [np.nan], [0.0], [2.0], [np.nan]]])
+    out, arg = maxpool1d_forward(x, 3)
     assert np.isnan(out).all()
-    np.testing.assert_array_equal(arg[:, 0], [1, 2])  # rows 1 and 5
+    np.testing.assert_array_equal(arg[0, :, 0], [1, 2])  # rows 1 and 5
 
 
 def test_pool_backward_conserves_gradient_mass(rng):
     for _ in range(10):
-        x = rng.standard_normal((11, 3))
-        out, arg = maxpool1d_forward(x, 3, 3)
+        x = rng.standard_normal((1, 11, 3))
+        out, arg = maxpool1d_forward(x, 3)
         grad_out = rng.standard_normal(out.shape)
-        gx = maxpool1d_backward(grad_out, arg, 11, stride=3)
+        gx = maxpool1d_backward(grad_out, arg, 11, 3)
         assert abs(gx.sum() - grad_out.sum()) < 1e-12
 
 
 def test_pool_window_validation(rng):
     with pytest.raises(ShapeMismatch):
-        maxpool1d_forward(rng.standard_normal((3, 2)), 4, 4)
+        maxpool1d_forward(rng.standard_normal((1, 3, 2)), 4)
 
 
 def test_pool_backward_gives_unselected_slots_plus_zero_whatever_the_gradient():
-    x = np.array([[1.0, 0.0], [3.0, -1.0], [2.0, 5.0], [5.0, 4.0], [9.0, 9.0]])
-    _, offsets = maxpool1d_forward(x, 2, 2)
-    np.testing.assert_array_equal(offsets, [[1, 0], [1, 0]])
-    grad = np.array([[np.inf, np.nan], [-2.0, -np.inf]])
-    gx = maxpool1d_backward(grad, offsets, 5, stride=2)
+    x = np.array([[[1.0, 0.0], [3.0, -1.0], [2.0, 5.0], [5.0, 4.0], [9.0, 9.0]]])
+    _, offsets = maxpool1d_forward(x, 2)
+    np.testing.assert_array_equal(offsets[0], [[1, 0], [1, 0]])
+    grad = np.array([[[np.inf, np.nan], [-2.0, -np.inf]]])
+    gx = maxpool1d_backward(grad, offsets, 5, 2)[0]
     want = np.array([[0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [-2.0, 0.0], [0.0, 0.0]])
     np.testing.assert_array_equal(gx, want)
     # the unselected slots and the row past the last window: +0.0, even
@@ -403,19 +403,16 @@ def test_pool_backward_gives_unselected_slots_plus_zero_whatever_the_gradient():
     assert not np.signbit(gx[want == 0.0]).any()
 
 
-def test_pool_refuses_overlapping_windows_and_stray_argmax(rng):
-    x = rng.standard_normal((8, 2))
-    for stride in (1, 3):
-        with pytest.raises(ShapeMismatch):
-            maxpool1d_forward(x, 2, stride)
-    out, arg = maxpool1d_forward(x, 2, 2)
+def test_pool_backward_refuses_stray_offsets(rng):
+    x = rng.standard_normal((1, 8, 2))
+    out, arg = maxpool1d_forward(x, 2)
     grad_out = np.ones_like(out)
     # each offset moved into the next or previous window
     for bad in (arg + 2, arg.astype(np.intp) - 2):
         with pytest.raises(ShapeMismatch):
-            maxpool1d_backward(grad_out, bad, 8, stride=2)
+            maxpool1d_backward(grad_out, bad, 8, 2)
     with pytest.raises(ShapeMismatch):  # four windows of 2 need 8 rows
-        maxpool1d_backward(grad_out, arg, 7, stride=2)
+        maxpool1d_backward(grad_out, arg, 7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +543,7 @@ def test_lstm_cell_matches_scalar_oracle(rng):
 def test_lstm_sequence_t1_equals_cell(rng):
     params = random_lstm_params(rng, 3, 4)
     x = rng.standard_normal((1, 3))
-    h_seq, _ = lstm_sequence(x, params)
+    h_seq, _ = lstm_sequence(x, params, [1])
     h_cell, _, _ = lstm_cell(x[0], np.zeros(4), np.zeros(4), params)
     np.testing.assert_allclose(h_seq[0], h_cell, atol=1e-15)
 
@@ -554,7 +551,9 @@ def test_lstm_sequence_t1_equals_cell(rng):
 def test_lstm_sequence_matches_cell_by_cell(rng):
     params = random_lstm_params(rng, 3, 4)
     x = rng.standard_normal((2, 6, 3))
-    h_seq, _ = lstm_sequence(x, params)
+    packed = ops.pack_index([6, 6])
+    h_seq = np.zeros((2, 6, 4))
+    h_seq[packed], _ = lstm_sequence(x[packed], params, [6, 6])
     h, c = np.zeros((2, 4)), np.zeros((2, 4))
     for step in range(6):
         h, c, _ = lstm_cell(x[:, step], h, c, params)
@@ -563,7 +562,7 @@ def test_lstm_sequence_matches_cell_by_cell(rng):
 
 def test_lstm_sequence_zero_everything_is_zero():
     params = LSTMCellParams.zeros(2, 3)
-    h_seq, _ = lstm_sequence(np.zeros((5, 2)), params)
+    h_seq, _ = lstm_sequence(np.zeros((5, 2)), params, [5])
     assert not h_seq.any()
 
 
@@ -573,11 +572,11 @@ def test_lstm_sequence_backward_matches_finite_differences(rng):
     x = rng.standard_normal((t, d))
     proj = rng.standard_normal((t, h_size))
 
-    h_seq, cache = lstm_sequence(x, params)
+    h_seq, cache = lstm_sequence(x, params, [t])
     gx, gparams, _, _ = lstm_sequence_backward(cache, params, proj)
 
     def loss_x(x_):
-        h_, _ = lstm_sequence(x_, params)
+        h_, _ = lstm_sequence(x_, params, [t])
         return float(np.sum(proj * h_))
 
     assert grad_check(loss_x, [x], [gx]) < 1e-6
@@ -586,7 +585,7 @@ def test_lstm_sequence_backward_matches_finite_differences(rng):
     arrs = [getattr(params, n) for n in names]
 
     def loss_params(*_arrs):
-        h_, _ = lstm_sequence(x, params)
+        h_, _ = lstm_sequence(x, params, [t])
         return float(np.sum(proj * h_))
 
     assert grad_check(loss_params, arrs, [gparams[n] for n in names]) < 1e-6
@@ -597,7 +596,7 @@ def test_lstm_shape_errors(rng):
     with pytest.raises(ShapeMismatch):
         lstm_cell(np.zeros(5), np.zeros(4), np.zeros(4), params)
     with pytest.raises(ShapeMismatch):
-        lstm_sequence(np.zeros((4, 5)), params)
+        lstm_sequence(np.zeros((4, 5)), params, [4])
 
 
 def batch_major_lstm(x, params):
@@ -680,13 +679,14 @@ def test_lstm_is_bit_identical_to_the_batch_major_step(dtype, b, h_size, repeat_
     x[0, 2] = -0.0
     grad_h_seq = rng.standard_normal((b, t, h_size)).astype(dtype)
 
-    h_seq, cache = lstm_sequence(x, params)
-    gx, grads, gh0, gc0 = lstm_sequence_backward(cache, params, grad_h_seq)
+    packed = ops.pack_index([t] * b)
+    h_seq, cache = lstm_sequence(x[packed], params, [t] * b)
+    gx, grads, gh0, gc0 = lstm_sequence_backward(cache, params, grad_h_seq[packed])
 
     fwd = batch_major_lstm(x, params)
     ref_gx, ref_grads, ref_gh0, ref_gc0 = batch_major_lstm_backward(x, params, fwd, grad_h_seq)
-    assert_bits_equal(h_seq, fwd[0])
-    assert_bits_equal(gx, ref_gx)
+    assert_bits_equal(h_seq, fwd[0][packed])
+    assert_bits_equal(gx, ref_gx[packed])
     assert_bits_equal(gh0, ref_gh0)
     assert_bits_equal(gc0, ref_gc0)
     assert sorted(grads) == sorted(ref_grads)
@@ -698,8 +698,8 @@ def test_lstm_is_bit_identical_to_the_batch_major_step_at_published_width():
     rng = np.random.default_rng(7)
     params = _cast_params(random_lstm_params(rng, 256, 512, scale=0.05), np.float32)
     x = rng.standard_normal((1, 4, 256)).astype(np.float32)
-    h_seq, _ = lstm_sequence(x, params)
-    assert_bits_equal(h_seq, batch_major_lstm(x, params)[0])
+    h_seq, _ = lstm_sequence(x[0], params, [4])
+    assert_bits_equal(h_seq, batch_major_lstm(x, params)[0][0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -820,12 +820,27 @@ def test_packed_lstm_refuses_inconsistent_lengths():
     with pytest.raises(ShapeMismatch):
         lstm_sequence(np.zeros((5, 3)), params, [2, 2])
     with pytest.raises(ShapeMismatch):
-        lstm_sequence(np.zeros((1, 5, 3)), params, [5])
-    with pytest.raises(ShapeMismatch):
         lstm_sequence(np.zeros((2, 3)), params, [3, -1])
     _, cache = lstm_sequence(np.zeros((4, 3)), params, [2, 2])
     with pytest.raises(ShapeMismatch):
         lstm_sequence_backward(cache, params, np.zeros((2, 2, 4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conv1d_forward(np.zeros((6, 3)), np.zeros((2, 2, 3)), np.zeros(2)),
+    lambda: conv1d_backward(np.zeros((6, 3)), np.zeros((2, 2, 3)), np.zeros((5, 2))),
+    lambda: maxpool1d_forward(np.zeros((6, 3)), 2),
+    lambda: maxpool1d_backward(np.zeros((3, 3)), np.zeros((3, 3), np.uint8), 6, 2),
+    lambda: dense_forward(np.zeros((2, 4, 3)), np.zeros((3, 2)), np.zeros(2)),
+    lambda: dense_forward(np.zeros(3), np.zeros((3, 2)), np.zeros(2)),
+    lambda: lstm_sequence(np.zeros((2, 4, 3)), LSTMCellParams.zeros(3, 4), [4, 4]),
+], ids=["conv-sequence", "conv-backward-sequence", "pool-sequence", "pool-backward-sequence",
+        "dense-3d", "dense-1d", "lstm-unpacked"])
+def test_kernels_refuse_the_forms_the_network_does_not_pass(call):
+    # conv and pool take a (B, T, D) batch, not one (T, D) sequence; dense
+    # takes (B, D) rows; the LSTM takes a batch's packed rows only
+    with pytest.raises(ShapeMismatch):
+        call()
 
 
 # ---------------------------------------------------------------------------
