@@ -31,9 +31,10 @@ ceil(n / pool) per conv + pool stage (``_stage_reach``), packed from lstm1
 into lstm2; its LSTM outputs after those rows are zero.  dense1 reads the
 flattened LSTM outputs only up to the batch's longest reach R: its output
 is the sum, in ascending row order, of each pooled row r < R times its
-(H2, H) block of ``dense1/W`` (``nn_ops.dense_rows_forward``).  The
-stored ``dense1/W`` keeps all ``pooled_len(2)`` blocks, so the parameter
-shapes are those of the published model.  So a sample's probabilities
+(H2, H) block of ``dense1/W`` (``nn_ops.dense_forward``, which every
+dense layer runs, the later ones on their input as one row).  The stored
+``dense1/W`` keeps all ``pooled_len(2)`` blocks, so the parameter shapes
+are those of the published model.  So a sample's probabilities
 depend neither on its padding nor on the other samples of its batch.
 Repeating the last output over the padding instead (Keras-style masking)
 lost signer-held-out accuracy; see README.
@@ -71,8 +72,6 @@ from .nn_ops import (
     conv1d_ragged_forward,
     dense_backward,
     dense_forward,
-    dense_rows_backward,
-    dense_rows_forward,
     dropout_backward,
     dropout_forward,
     lstm_sequence,
@@ -320,8 +319,10 @@ def _coerce_batch(net: ChampNet, batch) -> np.ndarray:
     x = np.asarray(batch)
     if x.ndim == 2:
         x = x[None]
-    if x.ndim != 3 or not 1 <= x.shape[1] <= cfg.t_max or x.shape[2] != cfg.feature_dim:
-        raise ShapeMismatch(f"batch shape {x.shape} != (B, T <= {cfg.t_max}, {cfg.feature_dim})")
+    if (x.ndim != 3 or len(x) < 1 or not 1 <= x.shape[1] <= cfg.t_max
+            or x.shape[2] != cfg.feature_dim):
+        raise ShapeMismatch(f"batch shape {x.shape} != (B >= 1, T <= {cfg.t_max}, "
+                            f"{cfg.feature_dim})")
     return x.astype(cfg.np_dtype, copy=False)
 
 
@@ -368,11 +369,13 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     sample only over the pooled rows its frames reach, packed
     (``nn_ops.pack_index``); its LSTM outputs after them are zero, and
     dense1 reads the (B, R, H2) outputs up to the batch's longest reach R
-    only (``nn_ops.dense_rows_forward``), a row past a sample's own reach
-    adding an exact zero.  So each conv stage computes only the rows above
-    it that are read (``_reach_back``): stage 2 the first R pooled rows (one
-    if R is 0) from the first P1 = pool * R + k - 1 of stage 1, and stage 1
-    those P1 from the first P1 * pool + k - 1 input rows.  As R is at most
+    only (``nn_ops.dense_forward``), a row past a sample's own reach
+    adding an exact zero; dense2, dense3 and the output layer pass their
+    (B, D) input to the same kernel as (B, 1, D).  So each conv stage
+    computes only the rows above it that are read (``_reach_back``): stage
+    2 the first R pooled rows (one if R is 0) from the first P1 = pool * R
+    + k - 1 of stage 1, and stage 1 those P1 from the first P1 * pool + k -
+    1 input rows.  As R is at most
     ``pooled_len(2)``, P1 is at most ``pooled_len(1)``.  Stage 1 multiplies
     each sample's own rows among them only (``conv1d_ragged_forward``), and
     a sample's later rows are cut, as no computed row reads them.  So the
@@ -403,15 +406,15 @@ def _forward_full(net: ChampNet, xs: Sequence[np.ndarray], train: bool,
     cache.update(xs=xs, t1=t1, off1=off1, x2=x2, t2=t2, off2=off2, packed=packed,
                  lstm1=lstm1_cache, lstm2=lstm2_cache)
 
-    act = seq
+    rows = seq  # each dense layer's input, (B, R, D); R = 1 past dense1
+    mode = "train" if train else "infer"
     for i in range(1, 4):
-        dense = dense_rows_forward if i == 1 else dense_forward
-        act, dcache = dense(act, p[f"dense{i}/W"], p[f"dense{i}/b"], activation="tanh")
-        mode = "train" if train else "infer"
+        act, dcache = dense_forward(rows, p[f"dense{i}/W"], p[f"dense{i}/b"], activation="tanh")
         act, mask = dropout_forward(act, cfg.dense_dropout, mode, rng)
         cache[f"dense{i}"] = dcache
         cache[f"drop{i}"] = mask
-    logits, out_cache = dense_forward(act, p["out/W"], p["out/b"])
+        rows = act[:, None]
+    logits, out_cache = dense_forward(rows, p["out/W"], p["out/b"])
     cache["out"] = out_cache
     probs = softmax(logits.astype(np.float64))
     return logits, probs, cache
@@ -422,7 +425,8 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
 
     dense1's input gradient is (B, R, H2), up to the batch's longest reach
     R, and its weight gradient is zero in the blocks of ``dense1/W`` past
-    R.  The LSTM gradients run packed, over each sample's own pooled rows.
+    R; the later dense layers' come back as (B, 1, D), read as (B, D).
+    The LSTM gradients run packed, over each sample's own pooled rows.
     Stage 2 read stage 1's pooled rows whole, so conv2's input gradient is
     theirs as it is, and conv1's kernel gradient sums each sample's own rows
     that stage 1 read only (``conv1d_ragged_backward``): the same sums as
@@ -435,9 +439,8 @@ def _backward_full(net: ChampNet, cache: dict, grad_logits: np.ndarray):
     g, grads["out/W"], grads["out/b"] = dense_backward(cache["out"],
                                                        grad_logits.astype(cfg.np_dtype))
     for i in range(3, 0, -1):
-        g = dropout_backward(g, cache[f"drop{i}"], cfg.dense_dropout)
-        dense = dense_rows_backward if i == 1 else dense_backward
-        g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense(cache[f"dense{i}"], g)
+        g = dropout_backward(g[:, 0], cache[f"drop{i}"], cfg.dense_dropout)
+        g, grads[f"dense{i}/W"], grads[f"dense{i}/b"] = dense_backward(cache[f"dense{i}"], g)
 
     packed = cache["packed"]
     g = g[packed]

@@ -4,8 +4,8 @@ Every operation here is written directly against its defining sums so it can
 be checked against brute-force oracles and central finite differences.  Arrays
 are plain numpy ndarrays; float64 is the reference precision, float32 is
 supported for speed.  Each kernel takes the one input form the network
-passes it: a (B, T, D) batch to the conv and pool ops, (B, D) rows to the
-dense ops, and the packed rows of a batch to the LSTM.
+passes it: a (B, T, D) batch to the conv and pool ops, (B, R, D) rows to
+the dense ops, and the packed rows of a batch to the LSTM.
 Only what the network uses is here: convolution is stride 1 with valid
 padding, max pooling takes non-overlapping windows and reports each
 maximum by its offset in its window, and an LSTM sequence starts from the
@@ -39,12 +39,15 @@ bit for bit.  In a batch of two or more samples a step with one live row
 is still a GEMM (``_matmul``), so a sample's states do not depend on its
 batch.  ``lstm_cell`` and ``lstm_sequence`` share the single step
 implementation ``_lstm_step``.
-The first dense layer takes an LSTM's (B, R, H) outputs unflattened
-(``dense_rows_forward``): its weight matrix stands for N >= R rows of H
-values, and only the blocks that meet the R rows given are multiplied;
-the others meet rows that count as zero.  The R products are added one
-block at a time, in ascending order, so the zero rows that end a sample
-add exact zeros, and R does not change its output.
+One dense kernel serves every dense layer.  It takes R rows of D values
+per sample, (B, R, D): the first dense layer an LSTM's (B, R, H) outputs
+unflattened, the others their (B, D) input as R = 1.  Its weight matrix
+stands for N >= R rows of D values, and only the blocks that meet the R
+rows given are multiplied; the others meet rows that count as zero.  The
+R products are added one block at a time, in ascending order, so the zero
+rows that end a sample add exact zeros, and R does not change its output.
+The loss is the softmax and cross-entropy fused, over a batch of logits
+(``softmax_xent_batch``).
 """
 
 from __future__ import annotations
@@ -88,11 +91,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, min_rows: int = 1):
 # ---------------------------------------------------------------------------
 # Pointwise activations
 # ---------------------------------------------------------------------------
-
-
-def tanh_forward(x: np.ndarray) -> np.ndarray:
-    """Elementwise (e^x - e^-x)/(e^x + e^-x), saturation-safe."""
-    return np.tanh(x)
 
 
 def tanh_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -361,45 +359,22 @@ def maxpool1d_backward(grad_out: np.ndarray, offsets: np.ndarray, input_len: int
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                   activation: str | None = None):
-    """x @ w + b of x (B, D) with optional tanh; returns (out, cache)."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"x {x.shape} incompatible with w {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeMismatch(f"bias {b.shape} != ({w.shape[1]},)")
-    if activation not in (None, "tanh"):
-        raise ValueError(f"unsupported activation {activation!r}")
-    z = x @ w + b
-    out = np.tanh(z) if activation == "tanh" else z
-    return out, (x, w, out, activation)
-
-
-def dense_backward(cache, grad_out: np.ndarray):
-    x, w, out, activation = cache
-    if grad_out.shape != out.shape:
-        raise ShapeMismatch(f"grad_out {grad_out.shape} != output {out.shape}")
-    gz = grad_out * (1.0 - out * out) if activation == "tanh" else grad_out
-    grad_w = x.T @ gz
-    grad_b = gz.sum(axis=0)
-    grad_x = gz @ w.T
-    return grad_x, grad_w, grad_b
-
-
-def dense_rows_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                       activation: str | None = None):
-    """``dense_forward`` of x (B, R, D) flattened to (B, R*D), against w
-    (N*D, H) with N >= R standing as (N, D, H): b + sum_{r<R} x[:, r] @ w_r,
-    w_r its (D, H) block r; returns (out, cache).  w's rows past R*D are
-    not read; they stand for the rows of x past R, which count as zero.
+    """x (B, R, D) flattened to (B, R*D), times w (N*D, H) with N >= R
+    standing as (N, D, H), plus b, with optional tanh: b + sum_{r<R} x[:, r]
+    @ w_r, w_r its (D, H) block r; returns (out, cache).  w's rows past R*D
+    are not read; they stand for the rows of x past R, which count as zero.
+    A (B, D) layer input is its (B, 1, D) view against its (D, H) w.
 
     Each block's product is one matmul with K = D, into one reused (B, H)
     buffer, and the products are added in ascending r, one at a time.  So
     the rows of x past a sample's last non-zero one add an exact zero, and
     its output depends neither on R nor, for B >= 2, on the other samples
     of the batch (each product is a GEMM, whose rows do not depend on how
-    many there are).  One GEMM of K = R*D would not do: BLAS picks its K
-    blocks from K, so its sums would change with R.  Nor is there an
-    (R, B, H) array of all the products: at B = 128 it is megabytes, and
-    allocating it every step page-faults.
+    many there are); at R = 1 it is x @ w + b bit for bit (0 + p = p).  One
+    GEMM of K = R*D would not do: BLAS picks its K blocks from K, so its
+    sums would change with R.  Nor is there an (R, B, H) array of all the
+    products: at B = 128 it is megabytes, and allocating it every step
+    page-faults.
     """
     if x.ndim != 3:
         raise ShapeMismatch(f"x must be (B, R, D), got {x.shape}")
@@ -422,15 +397,20 @@ def dense_rows_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out, (x, w, out, activation)
 
 
-def dense_rows_backward(cache, grad_out: np.ndarray):
-    """Adjoint of ``dense_rows_forward``; returns (grad_x, grad_w, grad_b),
-    grad_x (B, R, D) and grad_w in w's shape, zero in the rows past R*D."""
+def dense_backward(cache, grad_out: np.ndarray):
+    """Adjoint of ``dense_forward``; returns (grad_x, grad_w, grad_b),
+    grad_x in x's (B, R, D) shape and grad_w in w's, zero in the rows past
+    R*D."""
     x, w, out, activation = cache
+    if grad_out.shape != out.shape:
+        raise ShapeMismatch(f"grad_out {grad_out.shape} != output {out.shape}")
     n, r, d = x.shape
-    grad_x, grad_rows, grad_b = dense_backward((x.reshape(n, r * d), w[:r * d], out, activation),
-                                               grad_out)
+    gz = grad_out * (1.0 - out * out) if activation == "tanh" else grad_out
+    grad_rows = x.reshape(n, r * d).T @ gz
     grad_w = np.zeros(w.shape, dtype=grad_rows.dtype)
     grad_w[:r * d] = grad_rows
+    grad_b = gz.sum(axis=0)
+    grad_x = gz @ w[:r * d].T
     return grad_x.reshape(n, r, d), grad_w, grad_b
 
 
@@ -833,25 +813,6 @@ def dropout_backward(grad_out: np.ndarray, mask: np.ndarray | None, rate: float)
 # ---------------------------------------------------------------------------
 
 _PROB_FLOOR = 1e-12
-
-
-def cross_entropy(probs: np.ndarray, target_class: int) -> float:
-    """-ln(probs[target]) with probabilities clamped into [1e-12, 1 - 1e-12]."""
-    k = probs.shape[-1]
-    if not 0 <= target_class < k:
-        raise IndexOutOfRange(f"target {target_class} out of range for K={k}")
-    p = float(np.clip(probs[..., target_class], _PROB_FLOOR, 1.0 - _PROB_FLOOR))
-    return -np.log(p)
-
-
-def cross_entropy_grad_logits(probs: np.ndarray, target_class: int) -> np.ndarray:
-    """Fused softmax+CE gradient with respect to the logits: probs - onehot."""
-    k = probs.shape[-1]
-    if not 0 <= target_class < k:
-        raise IndexOutOfRange(f"target {target_class} out of range for K={k}")
-    grad = probs.astype(np.float64).copy()
-    grad[..., target_class] -= 1.0
-    return grad
 
 
 def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):

@@ -172,6 +172,12 @@ def test_forward_shape_mismatch(rng):
         forward(net, rng.standard_normal((2, 41, 12)))
 
 
+def test_forward_refuses_an_empty_batch():
+    net = build_network(TINY, seed=4)
+    with pytest.raises(ShapeMismatch):
+        forward(net, np.zeros((0, 40, 12)))
+
+
 # ---------------------------------------------------------------------------
 # End-to-end gradient check (scale 1/64)
 # ---------------------------------------------------------------------------

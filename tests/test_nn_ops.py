@@ -15,12 +15,8 @@ from aslchamp.nn_ops import (
     adam_step,
     conv1d_backward,
     conv1d_forward,
-    cross_entropy,
-    cross_entropy_grad_logits,
     dense_backward,
     dense_forward,
-    dense_rows_backward,
-    dense_rows_forward,
     dropout_backward,
     dropout_forward,
     grad_check,
@@ -33,7 +29,6 @@ from aslchamp.nn_ops import (
     softmax,
     softmax_xent_batch,
     tanh_backward,
-    tanh_forward,
 )
 
 
@@ -139,16 +134,17 @@ def gate_major(w):
 
 
 def test_tanh_basics():
-    assert tanh_forward(np.array(0.0)) == 0.0
+    # the network's tanh is np.tanh
+    assert np.tanh(np.array(0.0)) == 0.0
     x = np.linspace(-4, 4, 17)
-    np.testing.assert_array_equal(tanh_forward(-x), -tanh_forward(x))
-    assert tanh_forward(np.array(50.0)) == 1.0  # saturates without overflow
-    assert tanh_forward(np.array(-50.0)) == -1.0
+    np.testing.assert_array_equal(np.tanh(-x), -np.tanh(x))
+    assert np.tanh(np.array(50.0)) == 1.0  # saturates without overflow
+    assert np.tanh(np.array(-50.0)) == -1.0
 
 
 def test_tanh_backward_matches_closed_form():
     x = np.array([0.3])
-    y = tanh_forward(x)
+    y = np.tanh(x)
     g = tanh_backward(y, np.array([1.0]))
     assert abs(g[0] - (1.0 - math.tanh(0.3) ** 2)) < 1e-15
 
@@ -421,32 +417,53 @@ def test_pool_backward_refuses_stray_offsets(rng):
 
 
 def test_dense_identity():
-    x = np.arange(6.0).reshape(2, 3)
+    x = np.arange(6.0).reshape(2, 1, 3)
     out, _ = dense_forward(x, np.eye(3), np.zeros(3))
-    np.testing.assert_array_equal(out, x)
+    np.testing.assert_array_equal(out, x[:, 0])
 
 
 def test_dense_zero_input_gives_tanh_bias(rng):
     b = rng.standard_normal(4)
-    out, _ = dense_forward(np.zeros((2, 3)), rng.standard_normal((3, 4)), b,
+    out, _ = dense_forward(np.zeros((2, 1, 3)), rng.standard_normal((3, 4)), b,
                            activation="tanh")
     np.testing.assert_allclose(out, np.tile(np.tanh(b), (2, 1)), atol=1e-15)
 
 
 @pytest.mark.parametrize("activation", [None, "tanh"])
-def test_dense_backward_matches_finite_differences(rng, activation):
-    x = rng.standard_normal((3, 4))
-    w_mat = rng.standard_normal((4, 2))
-    b = rng.standard_normal(2)
-    proj = rng.standard_normal((3, 2))
+def test_dense_backward_matches_finite_differences(activation):
+    # R = N = 1, as dense2, dense3 and the output layer call it, and R < N,
+    # as dense1 does; there x is scaled so that tanh is unsaturated, where
+    # differences keep their digits
+    for scale, r, n, h in ((1.0, 1, 1, 2), (0.5, 2, 3, 5)):
+        rng = np.random.default_rng(0)
+        x = scale * rng.standard_normal((3, r, 4))
+        w_mat = rng.standard_normal((n * 4, h))
+        b = rng.standard_normal(h)
+        proj = rng.standard_normal((3, h))
 
-    def loss(x_, w_, b_):
-        out, _ = dense_forward(x_, w_, b_, activation=activation)
-        return float(np.sum(proj * out))
+        def loss(x_, w_, b_):
+            out, _ = dense_forward(x_, w_, b_, activation=activation)
+            return float(np.sum(proj * out))
 
-    out, cache = dense_forward(x, w_mat, b, activation=activation)
-    gx, gw, gb = dense_backward(cache, proj)
-    assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
+        out, cache = dense_forward(x, w_mat, b, activation=activation)
+        gx, gw, gb = dense_backward(cache, proj)
+        assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
+        assert not gw[r * 4:].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_dense_of_one_row_is_the_plain_product_bit_for_bit(dtype, batch):
+    # R = N = 1, as dense2, dense3 and the output layer call it, is
+    # tanh(x @ w + b) bit for bit
+    rng = np.random.default_rng(5)
+    for d, h in ((512, 256), (64, 96), (8, 9)):
+        x = rng.standard_normal((batch, d)).astype(dtype)
+        w_mat = rng.standard_normal((d, h)).astype(dtype)
+        b = rng.standard_normal(h).astype(dtype)
+        got, _ = dense_forward(x[:, None], w_mat, b, activation="tanh")
+        np.testing.assert_array_equal(got, np.tanh(x @ w_mat + b))
+        assert got.dtype == dtype
 
 
 def test_dense_rows_equals_dense_on_the_flattened_zero_padded_input(rng):
@@ -456,8 +473,10 @@ def test_dense_rows_equals_dense_on_the_flattened_zero_padded_input(rng):
     padded = np.zeros((3, 8 * 4))
     padded[:, :5 * 4] = x.reshape(3, -1)
     for activation in (None, "tanh"):
-        got, _ = dense_rows_forward(x, w_mat, b, activation=activation)
-        want, _ = dense_forward(padded, w_mat, b, activation=activation)
+        got, _ = dense_forward(x, w_mat, b, activation=activation)
+        want = padded @ w_mat + b
+        if activation == "tanh":
+            want = np.tanh(want)
         assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max())
 
 
@@ -471,28 +490,11 @@ def test_dense_rows_ignore_zero_rows_and_the_rest_of_the_batch(dtype):
     b = rng.standard_normal(h).astype(dtype)
     x = rng.standard_normal((5, 7, d)).astype(dtype)
     x[1, 3:] = 0.0
-    want, _ = dense_rows_forward(x, w_mat, b)
+    want, _ = dense_forward(x, w_mat, b)
     longer = np.concatenate([x, np.zeros((5, 5, d), dtype)], axis=1)
-    np.testing.assert_array_equal(dense_rows_forward(longer, w_mat, b)[0], want)
+    np.testing.assert_array_equal(dense_forward(longer, w_mat, b)[0], want)
     for batch, row in ((x[[4, 1]], 1), (x[1:3, :3], 0), (longer[[1, 0, 2, 3]], 0)):
-        np.testing.assert_array_equal(dense_rows_forward(batch, w_mat, b)[0][row], want[1])
-
-
-@pytest.mark.parametrize("activation", [None, "tanh"])
-def test_dense_rows_backward_matches_finite_differences(rng, activation):
-    x = 0.5 * rng.standard_normal((3, 2, 4))  # tanh unsaturated, where differences keep their digits
-    w_mat = rng.standard_normal((3 * 4, 5))
-    b = rng.standard_normal(5)
-    proj = rng.standard_normal((3, 5))
-
-    def loss(x_, w_, b_):
-        out, _ = dense_rows_forward(x_, w_, b_, activation=activation)
-        return float(np.sum(proj * out))
-
-    out, cache = dense_rows_forward(x, w_mat, b, activation=activation)
-    gx, gw, gb = dense_rows_backward(cache, proj)
-    assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
-    assert not gw[2 * 4:].any()
+        np.testing.assert_array_equal(dense_forward(batch, w_mat, b)[0][row], want[1])
 
 
 def test_dense_rows_refuse_bad_shapes():
@@ -502,7 +504,7 @@ def test_dense_rows_refuse_bad_shapes():
                     (np.zeros((2, 3, 4)), np.zeros(4)),
                     (np.zeros((2, 12)), b)):
         with pytest.raises(ShapeMismatch):
-            dense_rows_forward(x, w_mat, bias)
+            dense_forward(x, w_mat, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -831,14 +833,15 @@ def test_packed_lstm_refuses_inconsistent_lengths():
     lambda: conv1d_backward(np.zeros((6, 3)), np.zeros((2, 2, 3)), np.zeros((5, 2))),
     lambda: maxpool1d_forward(np.zeros((6, 3)), 2),
     lambda: maxpool1d_backward(np.zeros((3, 3)), np.zeros((3, 3), np.uint8), 6, 2),
-    lambda: dense_forward(np.zeros((2, 4, 3)), np.zeros((3, 2)), np.zeros(2)),
+    lambda: dense_forward(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(2)),
     lambda: dense_forward(np.zeros(3), np.zeros((3, 2)), np.zeros(2)),
     lambda: lstm_sequence(np.zeros((2, 4, 3)), LSTMCellParams.zeros(3, 4), [4, 4]),
 ], ids=["conv-sequence", "conv-backward-sequence", "pool-sequence", "pool-backward-sequence",
-        "dense-3d", "dense-1d", "lstm-unpacked"])
+        "dense-2d", "dense-1d", "lstm-unpacked"])
 def test_kernels_refuse_the_forms_the_network_does_not_pass(call):
     # conv and pool take a (B, T, D) batch, not one (T, D) sequence; dense
-    # takes (B, D) rows; the LSTM takes a batch's packed rows only
+    # takes (B, R, D) rows, a (B, D) input as R = 1; the LSTM takes a
+    # batch's packed rows only
     with pytest.raises(ShapeMismatch):
         call()
 
@@ -891,21 +894,21 @@ def test_dropout_validates_rate():
 
 
 def test_cross_entropy_uniform_nine_classes():
-    probs = np.full(9, 1.0 / 9.0)
-    assert abs(cross_entropy(probs, 4) - math.log(9.0)) < 1e-9
+    loss, _ = softmax_xent_batch(np.zeros((1, 9)), [4])
+    assert abs(loss - math.log(9.0)) < 1e-9
 
 
 def test_cross_entropy_one_hot_is_near_zero():
-    probs = np.zeros(5)
-    probs[2] = 1.0
-    assert cross_entropy(probs, 2) < 1e-11
+    logits = np.zeros((1, 5))
+    logits[0, 2] = 50.0  # a dominant logit: its probability rounds to 1
+    loss, _ = softmax_xent_batch(logits, [2])
+    assert 0.0 <= loss < 1e-11
 
 
 def test_cross_entropy_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        cross_entropy(np.full(4, 0.25), 4)
-    with pytest.raises(IndexOutOfRange):
-        cross_entropy_grad_logits(np.full(4, 0.25), -1)
+    for target in (4, -1):
+        with pytest.raises(IndexOutOfRange):
+            softmax_xent_batch(np.zeros((2, 4)), [0, target])
 
 
 def test_fused_gradient_matches_finite_differences(rng):
@@ -915,9 +918,9 @@ def test_fused_gradient_matches_finite_differences(rng):
         target = int(rng.integers(0, k))
 
         def loss(z):
-            return cross_entropy(softmax(z), target)
+            return softmax_xent_batch(z[None], [target])[0]
 
-        grad = cross_entropy_grad_logits(softmax(logits), target)
+        grad = softmax_xent_batch(logits[None], [target])[1][0]
         assert grad_check(loss, [logits], [grad]) < 1e-6
 
 
@@ -925,8 +928,10 @@ def test_softmax_xent_batch_reduces_mean(rng):
     logits = rng.standard_normal((6, 4))
     targets = rng.integers(0, 4, size=6)
     loss, grad = softmax_xent_batch(logits, targets)
-    per_sample = [cross_entropy(softmax(logits[i]), int(targets[i])) for i in range(6)]
-    assert abs(loss - np.mean(per_sample)) < 1e-12
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    per_sample = -np.log(np.clip(probs[np.arange(6), targets], 1e-12, 1.0 - 1e-12))
+    assert abs(loss - per_sample.mean()) < 1e-12
     assert grad.shape == logits.shape
 
 
@@ -1011,11 +1016,11 @@ def test_grad_check_detects_sign_flip(rng):
     proj = rng.standard_normal((3, 2))
 
     def loss(x_):
-        out, _ = dense_forward(x_, w_mat, b)
+        out, _ = dense_forward(x_[:, None], w_mat, b)
         return float(np.sum(proj * out))
 
-    out, cache = dense_forward(x, w_mat, b)
-    gx, _, _ = dense_backward(cache, proj)
+    out, cache = dense_forward(x[:, None], w_mat, b)
+    gx = dense_backward(cache, proj)[0][:, 0]
     err = grad_check(loss, [x], [-gx])  # deliberately corrupted backward
     assert err > 1.5
 
