@@ -430,25 +430,38 @@ def test_dense_zero_input_gives_tanh_bias(rng):
 
 
 @pytest.mark.parametrize("activation", [None, "tanh"])
-def test_dense_backward_matches_finite_differences(activation):
-    # R = N = 1, as dense2, dense3 and the output layer call it, and R < N,
-    # as dense1 does; there x is scaled so that tanh is unsaturated, where
-    # differences keep their digits
-    for scale, r, n, h in ((1.0, 1, 1, 2), (0.5, 2, 3, 5)):
-        rng = np.random.default_rng(0)
-        x = scale * rng.standard_normal((3, r, 4))
-        w_mat = rng.standard_normal((n * 4, h))
-        b = rng.standard_normal(h)
-        proj = rng.standard_normal((3, h))
+def test_dense_backward_matches_finite_differences(rng, activation):
+    # R = N = 1, as dense2, dense3 and the output layer call it
+    x = rng.standard_normal((3, 1, 4))
+    w_mat = rng.standard_normal((4, 2))
+    b = rng.standard_normal(2)
+    proj = rng.standard_normal((3, 2))
 
-        def loss(x_, w_, b_):
-            out, _ = dense_forward(x_, w_, b_, activation=activation)
-            return float(np.sum(proj * out))
+    def loss(x_, w_, b_):
+        out, _ = dense_forward(x_, w_, b_, activation=activation)
+        return float(np.sum(proj * out))
 
-        out, cache = dense_forward(x, w_mat, b, activation=activation)
-        gx, gw, gb = dense_backward(cache, proj)
-        assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
-        assert not gw[r * 4:].any()
+    out, cache = dense_forward(x, w_mat, b, activation=activation)
+    gx, gw, gb = dense_backward(cache, proj)
+    assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
+
+
+@pytest.mark.parametrize("activation", [None, "tanh"])
+def test_dense_rows_backward_matches_finite_differences(rng, activation):
+    # R < N, as dense1 calls it
+    x = 0.5 * rng.standard_normal((3, 2, 4))  # tanh unsaturated, where differences keep their digits
+    w_mat = rng.standard_normal((3 * 4, 5))
+    b = rng.standard_normal(5)
+    proj = rng.standard_normal((3, 5))
+
+    def loss(x_, w_, b_):
+        out, _ = dense_forward(x_, w_, b_, activation=activation)
+        return float(np.sum(proj * out))
+
+    out, cache = dense_forward(x, w_mat, b, activation=activation)
+    gx, gw, gb = dense_backward(cache, proj)
+    assert grad_check(loss, [x, w_mat, b], [gx, gw, gb]) < 1e-6
+    assert not gw[2 * 4:].any()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
